@@ -49,7 +49,7 @@ let inputs n = Array.init n (fun i -> i mod 2)
      per run; ns/run / 20_000 is the per-step cost.
    - net/tick-saturated: a saturated 8-process network, 2 sends per
      process per tick with spread-out delays, 500 ticks per run.
-   - check/hbo-sweep-wallclock-*: one full check_hbo sweep (fixed trial
+   - check/hbo-sweep-wallclock-*: one full hbo sweep (fixed trial
      budget) at jobs=1 vs jobs=4 — the ratio is the sweep speedup. *)
 
 let engine_steps_kernel () =
@@ -87,8 +87,16 @@ let net_tick_kernel () =
 
 let hbo_sweep_kernel jobs () =
   ignore
-    (Runner.check_hbo ~master_seed:7 ~budget:24 ~jobs ~max_steps:20_000
-       ~graph:(B.complete 4) ())
+    (Runner.sweep
+       (module Mm_check.Scenario_hbo)
+       ~master_seed:7 ~budget:24 ~jobs
+       ~params:
+         {
+           Mm_check.Scenario.default_params with
+           graph = Some (B.complete 4);
+           max_steps = Some 20_000;
+         }
+       ())
 
 (* engine/big-n-steps-n{100,1000}: per-step cost at large n.  A fixed
    8-process ping-pong ring is embedded in an n-process engine whose
@@ -291,16 +299,16 @@ let time_ns ~repeat f =
   done;
   !best
 
-(* check/arena-reuse-speedup: a sequential sweep of short abd trials at
-   n=16 timed with arena reuse on vs off; ns_per_run is the reuse-on
-   time and "speedup" the off/on ratio.  The workload leans on the
-   per-trial fixed cost — engine construction is O(n²) in the network
-   arrays while a 1-op trial's traffic is O(n) — because that is what
-   the arena removes.  Expect a ratio near 1.0: reuse trades allocation
-   (tracked by gc/minor-words-per-trial) against the write barrier a
-   major-heap-resident engine pays on array stores, so the row exists
-   to catch either side of that trade drifting, not to show a large
-   win. *)
+(* check/arena-reuse-speedup: a loop of short abd trials at n=16 —
+   gen + execute, no monitors or dedup — timed with one reused
+   {!Mm_sim.Arena} vs a fresh engine per trial; ns_per_run is the
+   reuse-on time and "speedup" the off/on ratio.  The workload leans on
+   the per-trial fixed cost — engine construction is O(n²) in the
+   network arrays while a 1-op trial's traffic is O(n) — because that
+   is what the arena removes.  Expect a ratio near 1.0: reuse trades
+   allocation (tracked by gc/minor-words-per-trial) against the write
+   barrier a major-heap-resident engine pays on array stores, so the
+   row records the evidence on whether the arena pays for itself. *)
 let arena_reuse_params =
   {
     Mm_check.Scenario.default_params with
@@ -310,23 +318,29 @@ let arena_reuse_params =
     trace_tail = 0;
   }
 
+(* [budget] trials of [Scenario_abd] drawn from one seeded stream and
+   executed with ([reuse]) or without an arena; both settings run the
+   same trials. *)
+let abd_trials ~params ~budget ~reuse () =
+  let module A = Mm_check.Scenario_abd in
+  let cfg = A.cfg_of_params params in
+  let arena = if reuse then Some (Mm_sim.Arena.create ()) else None in
+  let rng = Mm_rng.Rng.create 7 in
+  for _ = 1 to budget do
+    ignore (A.execute ?arena cfg (A.gen cfg rng))
+  done
+
 let arena_reuse_row ~smoke =
   let budget = if smoke then 4 else 64 in
   let repeat = if smoke then 1 else 5 in
-  let sweep ~reuse () =
-    ignore
-      (Runner.sweep
-         (module Mm_check.Scenario_abd)
-         ~master_seed:7 ~budget ~jobs:1 ~reuse_arenas:reuse
-         ~params:arena_reuse_params ())
-  in
-  (* Warm both paths before timing: the first sweep in the process pays
+  let trials ~reuse = abd_trials ~params:arena_reuse_params ~budget ~reuse in
+  (* Warm both paths before timing: the first loop in the process pays
      one-time setup that would otherwise bias whichever side runs
      first. *)
-  sweep ~reuse:true ();
-  sweep ~reuse:false ();
-  let ns_on = time_ns ~repeat (sweep ~reuse:true) in
-  let ns_off = time_ns ~repeat (sweep ~reuse:false) in
+  trials ~reuse:true ();
+  trials ~reuse:false ();
+  let ns_on = time_ns ~repeat (trials ~reuse:true) in
+  let ns_off = time_ns ~repeat (trials ~reuse:false) in
   ( "check/arena-reuse-speedup",
     ns_on,
     Printf.sprintf ", \"budget\": %d, \"speedup\": %.3f" budget
@@ -367,11 +381,12 @@ let dedup_row ~smoke =
   )
 
 (* gc/minor-words-per-trial: minor-heap allocation per trial of a
-   short-trial abd sweep — execution is deliberately tiny (one op per
-   process, no trace buffer), so the row isolates the fixed per-trial
-   simulator cost that arena reuse eliminates.  ns_per_run carries the
-   reuse-on words-per-trial (same lower-is-better direction bench_diff
-   assumes); "reuse_off" is the fresh-engines-per-trial figure. *)
+   short-trial abd gen + execute loop — execution is deliberately tiny
+   (one op per process, no trace buffer), so the row isolates the fixed
+   per-trial simulator cost that arena reuse eliminates.  ns_per_run
+   carries the reuse-on words-per-trial (same lower-is-better direction
+   bench_diff assumes); "reuse_off" is the fresh-engines-per-trial
+   figure. *)
 let gc_params =
   {
     Mm_check.Scenario.default_params with
@@ -384,17 +399,11 @@ let gc_params =
 let gc_row ~smoke =
   let budget = if smoke then 8 else 256 in
   let words_per_trial ~reuse =
-    let sweep () =
-      ignore
-        (Runner.sweep
-           (module Mm_check.Scenario_abd)
-           ~master_seed:7 ~budget ~jobs:1 ~reuse_arenas:reuse ~params:gc_params
-           ())
-    in
-    sweep ();
+    let trials = abd_trials ~params:gc_params ~budget ~reuse in
+    trials ();
     (* warm: exclude one-time setup from the counter delta *)
     let before = Gc.minor_words () in
-    sweep ();
+    trials ();
     (Gc.minor_words () -. before) /. float_of_int budget
   in
   let on_words = words_per_trial ~reuse:true in

@@ -65,8 +65,35 @@ let family_arg default =
   in
   Arg.(value & opt string default & info [ "g"; "graph" ] ~docv:"FAMILY" ~doc)
 
+(* Knobs that are counts (processes, steps, trials, domains) must be
+   strictly positive; reject them at parse time with a clear message
+   (a usage error, exit 124) instead of letting a 0 or negative value
+   surface later as an uncaught exception. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some v when v > 0 -> Ok v
+    | Some v ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
+    | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let n_arg default =
-  Arg.(value & opt int default & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(value & opt pos_int default & info [ "n" ] ~docv:"N"
+         ~doc:"Number of processes. Must be positive.")
+
+(* Omega's notification mechanism; the lossy variant's drop probability
+   comes from --drop. *)
+let variant_arg ~doc =
+  Arg.(value
+       & opt (enum [ ("reliable", `Reliable); ("lossy", `Lossy) ]) `Reliable
+       & info [ "variant" ] ~docv:"V" ~doc)
+
+let omega_variant ~drop = function
+  | `Reliable -> Omega.Reliable
+  | `Lossy -> Omega.Fair_lossy drop
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -356,21 +383,13 @@ let kv_cmd =
 (* --- election --- *)
 
 let election_cmd =
-  let variant_arg =
-    Arg.(value & opt string "reliable" & info [ "variant" ] ~docv:"V"
-           ~doc:"reliable | lossy.")
-  in
+  let variant_arg = variant_arg ~doc:"reliable | lossy." in
   let drop_arg =
     Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
            ~doc:"Drop probability for the lossy variant.")
   in
   let run variant drop n seed crash_specs =
-    let variant =
-      match String.lowercase_ascii variant with
-      | "reliable" -> Omega.Reliable
-      | "lossy" -> Omega.Fair_lossy drop
-      | v -> failwith ("unknown variant: " ^ v)
-    in
+    let variant = omega_variant ~drop variant in
     let crashes = parse_crashes crash_specs in
     let timely =
       (* ensure at least one never-crashed process is timely *)
@@ -440,21 +459,14 @@ let check_cmd =
   let module Scenario = Mm_check.Scenario in
   let module Registry = Mm_check.Registry in
   let module Pool = Mm_check.Pool in
-  let default_jobs () =
-    match Sys.getenv_opt "MM_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | _ -> failwith "MM_JOBS must be a positive integer")
-    | None -> Pool.default_jobs ()
-  in
   let jobs_arg =
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"J"
-           ~doc:"Domains to fan trials out over. Defaults to \\$(b,MM_JOBS) \
-                 if set, else one less than the machine's recommended \
-                 domain count (min 1). Reports are identical for every \
-                 J: the lowest-index violation wins and shrinking is \
-                 single-threaded.")
+    Arg.(value & opt (some pos_int) None
+         & info [ "jobs"; "j" ] ~docv:"J" ~env:(Cmd.Env.info "MM_JOBS")
+             ~doc:"Domains to fan trials out over. Defaults to $(b,MM_JOBS) \
+                   if set, else one less than the machine's recommended \
+                   domain count (min 1). Must be positive. Reports are \
+                   identical for every J: the lowest-index violation wins \
+                   and shrinking is single-threaded.")
   in
   (* The scenario enum is derived from the registry: registering a new
      Scenario.S is all it takes to appear here and in --help. *)
@@ -473,9 +485,9 @@ let check_cmd =
          & info [] ~docv:"SCENARIO" ~doc)
   in
   let budget_arg =
-    Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"TRIALS"
+    Arg.(value & opt (some pos_int) None & info [ "budget" ] ~docv:"TRIALS"
            ~doc:"Randomized trials to run (default: the scenario's own, \
-                 e.g. 200 for hbo, 50 for omega).")
+                 e.g. 200 for hbo, 50 for omega). Must be positive.")
   in
   let max_crashes_arg =
     Arg.(value & opt (some int) None & info [ "crashes" ] ~docv:"F"
@@ -507,8 +519,7 @@ let check_cmd =
            ~doc:"Step budget per trial.")
   in
   let variant_arg =
-    Arg.(value & opt string "reliable" & info [ "variant" ] ~docv:"V"
-           ~doc:"Omega notification mechanism: reliable | lossy.")
+    variant_arg ~doc:"Omega notification mechanism: reliable | lossy."
   in
   let drop_arg =
     Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
@@ -554,20 +565,6 @@ let check_cmd =
                  ignore the flag. Composes with --nemesis; restart draws \
                  come last, so pre-restart seeds replay unchanged.")
   in
-  (* Knobs that are step or trial counts must be strictly positive;
-     reject them at parse time with a clear message instead of letting a
-     0 or negative value surface later as an Invalid_argument trace. *)
-  let pos_int =
-    let parse s =
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> Ok v
-      | Some v ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
-      | None ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-  in
   let settle_arg =
     Arg.(value & opt (some pos_int) None & info [ "settle" ] ~docv:"S"
            ~doc:"Omega/kv + --nemesis: steps after the last fault clears                  within which leadership must stop changing (omega;                  default: warmup / 4) or every pre-heal request must                  complete (kv; default: max-steps / 2). Must be positive.")
@@ -605,52 +602,53 @@ let check_cmd =
       backend impl variant drop expect_stall replay trace jobs entries
       commands nemesis restarts settle chunk shards clients no_local_reads
       report_domains =
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let variant =
-      match String.lowercase_ascii variant with
-      | "reliable" -> Omega.Reliable
-      | "lossy" -> Omega.Fair_lossy drop
-      | v -> failwith ("unknown variant: " ^ v)
-    in
-    let params =
-      {
-        Scenario.default_params with
-        graph = Some (make_graph family n seed);
-        family;
-        n;
-        backend;
-        impl;
-        variant;
-        drop;
-        expect_stall;
-        max_crashes;
-        max_steps;
-        entries;
-        commands;
-        trace_tail = trace;
-        nemesis;
-        restarts;
-        settle;
-        shards;
-        clients;
-        local_reads = not no_local_reads;
-      }
-    in
-    (match Runner.preamble (module S) ~params with
-    | Some line -> Format.printf "%s@." line
-    | None -> ());
-    let report, stats =
-      match replay with
-      | Some trial_seed ->
-        (Runner.replay (module S) ~params ~trial_seed (), [||])
-      | None ->
-        Runner.sweep_stats (module S) ~master_seed:seed ?budget ~jobs ?chunk
-          ~params ()
-    in
-    Format.printf "%a" Runner.pp_report report;
-    if report_domains && Array.length stats > 0 then
-      Format.printf "%a" Runner.pp_domain_stats stats;
-    if report.Runner.violation <> None then exit 1
+    let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+    let variant = omega_variant ~drop variant in
+    (* The graph family's shape constraints (odd -n with -g disjoint, a
+       non-square -n for torus, ...) are command-line errors too. *)
+    match make_graph family n seed with
+    | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
+    | graph ->
+      let params =
+        {
+          Scenario.default_params with
+          graph = Some graph;
+          family;
+          n;
+          backend;
+          impl;
+          variant;
+          drop;
+          expect_stall;
+          max_crashes;
+          max_steps;
+          entries;
+          commands;
+          trace_tail = trace;
+          nemesis;
+          restarts;
+          settle;
+          shards;
+          clients;
+          local_reads = not no_local_reads;
+        }
+      in
+      (match Runner.preamble (module S) ~params with
+      | Some line -> Format.printf "%s@." line
+      | None -> ());
+      let report, stats =
+        match replay with
+        | Some trial_seed ->
+          (Runner.replay (module S) ~params ~trial_seed (), [||])
+        | None ->
+          Runner.sweep_stats (module S) ~master_seed:seed ?budget ~jobs ?chunk
+            ~params ()
+      in
+      Format.printf "%a" Runner.pp_report report;
+      if report_domains && Array.length stats > 0 then
+        Format.printf "%a" Runner.pp_domain_stats stats;
+      if report.Runner.violation <> None then exit 1;
+      `Ok ()
   in
   let man =
     `S "SCENARIOS"
@@ -659,18 +657,33 @@ let check_cmd =
          (fun ((module S : Scenario.S)) -> `I (S.name, S.doc))
          Registry.all
   in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on a property violation (the report names the \
+                          replay seed)."
+    :: Cmd.Exit.info Cmd.Exit.cli_error
+         ~doc:"on command line errors: an unknown option, scenario, \
+               $(b,--variant) or $(b,-g) family; a non-positive $(b,--budget), \
+               $(b,--jobs), $(b,MM_JOBS), $(b,-n), $(b,--settle) \
+               or $(b,--chunk); or an $(b,-n) the graph family cannot \
+               be built at (e.g. an odd $(b,-n) with $(b,-g disjoint)). \
+               A one-line message on standard error names the bad value."
+    :: List.filter
+         (fun e -> Cmd.Exit.info_code e <> Cmd.Exit.cli_error)
+         Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "check" ~man
+    (Cmd.info "check" ~man ~exits
        ~doc:"Model-check an algorithm: sweep randomized schedules and faults \
              from one seed, monitor the paper's theorems, and report a \
              replayable shrunk counterexample (exit 1) on violation.")
-    Term.(const run $ scenario_arg $ family_arg "complete" $ n_arg 6
-          $ seed_arg $ budget_arg $ max_crashes_arg $ max_steps_arg
-          $ backend_arg $ impl_arg $ variant_arg $ drop_arg
-          $ expect_stall_arg $ replay_arg $ trace_arg $ jobs_arg
-          $ entries_arg $ commands_arg $ nemesis_arg $ restarts_arg
-          $ settle_arg $ chunk_arg $ shards_arg $ clients_arg
-          $ no_local_reads_arg $ report_domains_arg)
+    Term.(ret
+            (const run $ scenario_arg $ family_arg "complete" $ n_arg 6
+             $ seed_arg $ budget_arg $ max_crashes_arg $ max_steps_arg
+             $ backend_arg $ impl_arg $ variant_arg $ drop_arg
+             $ expect_stall_arg $ replay_arg $ trace_arg $ jobs_arg
+             $ entries_arg $ commands_arg $ nemesis_arg $ restarts_arg
+             $ settle_arg $ chunk_arg $ shards_arg $ clients_arg
+             $ no_local_reads_arg $ report_domains_arg))
 
 (* --- graph analysis --- *)
 

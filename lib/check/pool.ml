@@ -6,9 +6,7 @@
    The claim path is built so that a worker touches shared mutable
    state only at chunk granularity: one fetch-and-add to claim a chunk,
    one frontier read per chunk (cached for the chunk's whole scan), and
-   a frontier CAS only on a hit.  The three shared atomics each live on
-   a cache line of their own (see [atomic_padded]), so polling the
-   frontier never contends with the claim counter. *)
+   a frontier CAS only on a hit. *)
 
 let default_jobs () = max 1 (Stdlib.Domain.recommended_domain_count () - 1)
 
@@ -17,23 +15,6 @@ let default_jobs () = max 1 (Stdlib.Domain.recommended_domain_count () - 1)
    serialize it), so the default scales with the work per worker and is
    capped: ~8 claims per worker over the budget, at most 64 per claim. *)
 let default_chunk ~jobs ~budget = max 1 (min 64 (budget / (jobs * 8)))
-
-(* [Atomic.make] allocates a one-word heap record, and consecutive
-   allocations land on the same cache line — so [next], [frontier] and
-   [failure] would false-share: every fetch_and_add on the claim
-   counter would invalidate the line every other domain polls the
-   frontier through.  [Atomic.t] is a single-field record, so re-housing
-   that field in a 16-word (128-byte on 64-bit) block is
-   layout-compatible with the atomic primitives, and the padding words
-   hold immediate/unit values the GC scans soundly.  OCaml >= 5.2
-   spells this [Atomic.make_contended]; this is the 5.1 rendering. *)
-let atomic_padded (v : 'a) : 'a Atomic.t =
-  let b = Obj.new_block 0 16 in
-  for i = 1 to 15 do
-    Obj.set_field b i (Obj.repr 0)
-  done;
-  Obj.set_field b 0 (Obj.repr v);
-  Obj.magic b
 
 (* Lock-free minimum: CAS until [v] is no improvement. *)
 let rec update_min a v =
@@ -47,7 +28,7 @@ type 'ctx stats = {
   evaluated : int array;
 }
 
-let find_first_stats ?(jobs = 1) ?chunk ~init ~budget f =
+let find_first ?(jobs = 1) ?chunk ~init ~budget f =
   if jobs < 1 then invalid_arg "Pool.find_first: jobs must be >= 1";
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.find_first: chunk must be >= 1"
@@ -80,9 +61,9 @@ let find_first_stats ?(jobs = 1) ?chunk ~init ~budget f =
       go 0
     end
     else begin
-      let next = atomic_padded 0 in
-      let frontier = atomic_padded max_int in
-      let failure = atomic_padded None in
+      let next = Atomic.make 0 in
+      let frontier = Atomic.make max_int in
+      let failure = Atomic.make None in
       let claimed = Array.make jobs 0 in
       let evaluated = Array.make jobs 0 in
       let worker wid =
@@ -153,9 +134,3 @@ let find_first_stats ?(jobs = 1) ?chunk ~init ~budget f =
       { found; ctxs; claimed; evaluated }
     end
   end
-
-let find_first_init ?jobs ?chunk ~init ~budget f =
-  (find_first_stats ?jobs ?chunk ~init:(fun _ -> init ()) ~budget f).found
-
-let find_first ?jobs ?chunk ~budget f =
-  find_first_init ?jobs ?chunk ~init:(fun () -> ()) ~budget (fun () i -> f i)

@@ -17,23 +17,22 @@
     granularity: one fetch-and-add per chunk, one frontier read per
     chunk (cached for the chunk's scan — sound, because a stale
     frontier only {e over}-estimates the live one), a CAS only on a
-    hit.  The shared atomics are padded onto cache lines of their own,
-    so claim traffic never false-shares with frontier polling. *)
+    hit. *)
 
 (** [Domain.recommended_domain_count () - 1] (leaving one core for the
     coordinating domain), at least 1. *)
 val default_jobs : unit -> int
 
-(** Per-worker accounting of one {!find_first_stats} run.  Worker 0 is
-    the calling domain; [ctxs], [claimed] and [evaluated] are indexed by
+(** Per-worker accounting of one {!find_first} run.  Worker 0 is the
+    calling domain; [ctxs], [claimed] and [evaluated] are indexed by
     worker and all have the same length — the number of domains that
     actually ran, which can be lower than the requested [jobs] (capped
-    at the chunk count, so no domain is spawned with nothing to claim).
-    [claimed.(w)] counts indices worker [w] claimed off the shared
-    counter; [evaluated.(w)] counts its actual [f] calls (claimed minus
-    frontier-skipped).  Unlike [found], these counts depend on
-    cross-domain timing — they are diagnostics, not part of the
-    deterministic result. *)
+    at the chunk count, so no domain is spawned with nothing to claim),
+    and is 0 for an empty budget.  [claimed.(w)] counts indices worker
+    [w] claimed off the shared counter; [evaluated.(w)] counts its
+    actual [f] calls (claimed minus frontier-skipped).  Unlike [found],
+    these counts depend on cross-domain timing — they are diagnostics,
+    not part of the deterministic result. *)
 type 'ctx stats = {
   found : int option;
   ctxs : 'ctx array;
@@ -41,42 +40,30 @@ type 'ctx stats = {
   evaluated : int array;
 }
 
-(** [find_first ~jobs ~budget f] is the smallest [i] in [0, budget)
-    with [f i = true], or [None].  [f] must be safe to call from
-    multiple domains concurrently (in this codebase: any function of a
-    trial seed that builds its own engine).  [jobs] (default 1) is the
-    total number of domains used, including the calling one; it is
-    capped at [budget] and at the number of chunks.  [chunk] (default:
-    adaptive, roughly [budget / (jobs * 8)] capped at 64) is the number
-    of consecutive indices claimed per atomic operation.  If some call
-    to [f] raises, the first exception observed is re-raised on the
-    calling domain after all workers have drained.
+(** [find_first ~init ~budget f] searches for the smallest [i] in
+    [0, budget) with [f ctx i = true] and returns it as [found] (or
+    [None]), together with the per-worker contexts and claim/evaluation
+    counts.  Every worker domain (including the calling one) runs
+    [init w] once, with its worker index [w], and passes the result to
+    each of its [f] calls; the sweep engine uses this to give each
+    domain one simulator arena and one private dedup table.  [init] and
+    [f] must be safe to call from multiple domains concurrently (in this
+    codebase: any function of a trial seed that builds its own engine),
+    and a context never crosses domains until the pool has joined —
+    reading [ctxs], or anything [f] wrote, after the call needs no
+    synchronization.
+
+    [jobs] (default 1) is the total number of domains used, including
+    the calling one; it is capped at [budget] and at the number of
+    chunks.  With one worker the scan runs inline on the calling domain
+    and spawns nothing.  [chunk] (default: adaptive, roughly
+    [budget / (jobs * 8)] capped at 64) is the number of consecutive
+    indices claimed per atomic operation.  If some call to [f] raises,
+    the first exception observed is re-raised on the calling domain
+    after all workers have drained.
 
     @raise Invalid_argument if [jobs < 1] or [chunk < 1]. *)
-val find_first : ?jobs:int -> ?chunk:int -> budget:int -> (int -> bool) -> int option
-
-(** [find_first_init ~init ~budget f] is {!find_first} for predicates
-    that want per-worker state: every worker domain (including the
-    calling one) runs [init ()] once and passes the result to each of
-    its [f] calls.  The sweep engine uses this to give each domain one
-    reusable simulator arena.  [init] must be safe to call concurrently;
-    the context never crosses domains until the pool has joined. *)
-val find_first_init :
-  ?jobs:int ->
-  ?chunk:int ->
-  init:(unit -> 'ctx) ->
-  budget:int ->
-  ('ctx -> int -> bool) ->
-  int option
-
-(** [find_first_stats ~init ~budget f] is {!find_first_init} with the
-    per-worker contexts and claim/evaluation counts returned after the
-    join ([init] receives the worker index).  This is how the sweep
-    engine gets each domain's private dedup table back for merging, and
-    how [--report-domains] localizes a scaling regression to a domain.
-    The contexts are returned only after every worker has joined, so
-    reading them needs no synchronization. *)
-val find_first_stats :
+val find_first :
   ?jobs:int ->
   ?chunk:int ->
   init:(int -> 'ctx) ->

@@ -66,7 +66,7 @@ let stall_scenario graph =
   match Cut.min_f_with_cut graph with
   | None ->
     invalid_arg
-      "Runner.check_hbo: --expect-stall needs a graph with an SM-cut (Thm \
+      "Scenario_hbo: --expect-stall needs a graph with an SM-cut (Thm \
        4.4), but none was found"
   | Some f -> (
     match Cut.find graph ~f with

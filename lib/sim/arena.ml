@@ -2,11 +2,6 @@ type t = { mutable engine : Engine.t option }
 
 let create () = { engine = None }
 
-let shape_minor_heap ~words =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < words then
-    Gc.set { g with Gc.minor_heap_size = words }
-
 let engine ?arena ?seed ?delay ?sched ?trace_capacity ?backend ~domain ~link
     ~n () =
   match arena with

@@ -30,14 +30,3 @@ val engine :
   n:int ->
   unit ->
   Engine.t
-
-(** [shape_minor_heap ~words] grows the calling domain's minor heap to
-    [words] (no-op if it is already at least that big).  In OCaml 5
-    every minor collection is a stop-the-world barrier across {e all}
-    domains, so a sweeping domain whose clean trials fit inside its
-    minor heap never interrupts its siblings; call this from a worker
-    before its first trial and size [words] from the
-    [gc/minor-words-per-trial] bench row times the trials per chunk.
-    Purely a GC-pacing knob: allocation behavior is unchanged, so
-    sweep reports are identical with any setting. *)
-val shape_minor_heap : words:int -> unit

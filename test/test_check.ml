@@ -208,6 +208,14 @@ let test_shrink_int () =
 
 (* --- Pool: deterministic parallel search --- *)
 
+(* The pool's plain search: no per-worker state, just the lowest hit. *)
+let find_first ?jobs ?chunk ~budget f =
+  let r =
+    Mm_check.Pool.find_first ?jobs ?chunk ~init:ignore ~budget (fun () i ->
+        f i)
+  in
+  r.Mm_check.Pool.found
+
 let test_pool_lowest_index_wins () =
   (* Many indices match; the pool must report the lowest, not the first
      to complete, at every jobs setting. *)
@@ -217,22 +225,22 @@ let test_pool_lowest_index_wins () =
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d" jobs)
         (Some 3)
-        (Mm_check.Pool.find_first ~jobs ~budget:100 f))
+        (find_first ~jobs ~budget:100 f))
     [ 1; 2; 4; 8 ]
 
 let test_pool_no_hit_and_edges () =
   Alcotest.(check (option int)) "no hit" None
-    (Mm_check.Pool.find_first ~jobs:4 ~budget:50 (fun _ -> false));
+    (find_first ~jobs:4 ~budget:50 (fun _ -> false));
   Alcotest.(check (option int)) "empty budget" None
-    (Mm_check.Pool.find_first ~jobs:4 ~budget:0 (fun _ -> true));
+    (find_first ~jobs:4 ~budget:0 (fun _ -> true));
   Alcotest.(check (option int)) "jobs > budget" (Some 0)
-    (Mm_check.Pool.find_first ~jobs:16 ~budget:2 (fun i -> i = 0))
+    (find_first ~jobs:16 ~budget:2 (fun i -> i = 0))
 
 let test_pool_propagates_exception () =
   Alcotest.(check bool) "worker exception reraised" true
     (try
        ignore
-         (Mm_check.Pool.find_first ~jobs:4 ~budget:40 (fun i ->
+         (find_first ~jobs:4 ~budget:40 (fun i ->
               if i = 17 then failwith "boom" else false));
        false
      with Failure m -> m = "boom")
@@ -246,13 +254,13 @@ let test_pool_validates_jobs_and_chunk () =
        with Invalid_argument _ -> true)
   in
   raises "jobs = 0" (fun () ->
-      Mm_check.Pool.find_first ~jobs:0 ~budget:4 (fun _ -> false));
+      find_first ~jobs:0 ~budget:4 (fun _ -> false));
   raises "jobs negative" (fun () ->
-      Mm_check.Pool.find_first ~jobs:(-3) ~budget:4 (fun _ -> false));
+      find_first ~jobs:(-3) ~budget:4 (fun _ -> false));
   raises "chunk = 0" (fun () ->
-      Mm_check.Pool.find_first ~jobs:2 ~chunk:0 ~budget:4 (fun _ -> false));
+      find_first ~jobs:2 ~chunk:0 ~budget:4 (fun _ -> false));
   raises "chunk = 0, sequential too" (fun () ->
-      Mm_check.Pool.find_first ~jobs:1 ~chunk:0 ~budget:4 (fun _ -> false));
+      find_first ~jobs:1 ~chunk:0 ~budget:4 (fun _ -> false));
   raises "sweep jobs = 0" (fun () ->
       match Registry.find "abd" with
       | Some sc ->
@@ -260,7 +268,7 @@ let test_pool_validates_jobs_and_chunk () =
       | None -> Alcotest.fail "abd not registered");
   (* jobs >= 1 with an empty budget is a no-hit, not an error *)
   Alcotest.(check (option int)) "budget 0" None
-    (Mm_check.Pool.find_first ~jobs:3 ~budget:0 (fun _ -> true))
+    (find_first ~jobs:3 ~budget:0 (fun _ -> true))
 
 let test_pool_chunked_claiming_deterministic () =
   (* Hits at 17 and 63: whatever the chunk size — finer or coarser than
@@ -272,7 +280,7 @@ let test_pool_chunked_claiming_deterministic () =
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d chunk=%d" jobs chunk)
         (Some 17)
-        (Mm_check.Pool.find_first ~jobs ~chunk ~budget:100 f))
+        (find_first ~jobs ~chunk ~budget:100 f))
     [ (2, 1); (2, 7); (4, 16); (8, 64); (3, 200) ]
 
 let test_pool_stats_accounting () =
@@ -283,7 +291,7 @@ let test_pool_stats_accounting () =
   List.iter
     (fun (jobs, chunk) ->
       let r =
-        Mm_check.Pool.find_first_stats ~jobs ~chunk
+        Mm_check.Pool.find_first ~jobs ~chunk
           ~init:(fun wid -> wid)
           ~budget:100
           (fun _ _ -> false)
@@ -310,7 +318,7 @@ let test_pool_jobs_capped_by_chunk_count () =
      budget 8 at chunk 64 is a single chunk -> exactly one worker (the
      calling domain), and the sequential fast path at that. *)
   let r =
-    Mm_check.Pool.find_first_stats ~jobs:8 ~chunk:64
+    Mm_check.Pool.find_first ~jobs:8 ~chunk:64
       ~init:(fun wid -> wid)
       ~budget:8
       (fun _ _ -> false)
@@ -321,7 +329,7 @@ let test_pool_jobs_capped_by_chunk_count () =
     r.Mm_check.Pool.claimed.(0);
   (* budget 8 at chunk 3 is three chunks -> exactly three workers *)
   let r =
-    Mm_check.Pool.find_first_stats ~jobs:8 ~chunk:3
+    Mm_check.Pool.find_first ~jobs:8 ~chunk:3
       ~init:(fun wid -> wid)
       ~budget:8
       (fun _ _ -> false)
@@ -333,8 +341,26 @@ let test_pool_jobs_capped_by_chunk_count () =
 
 (* --- Runner: end-to-end sweeps (kept small; see the @check alias) --- *)
 
+let hbo : Scenario.t = (module Mm_check.Scenario_hbo)
+
+let hbo_params ?max_crashes ?(expect_stall = false) graph =
+  { Scenario.default_params with graph = Some graph; max_crashes; expect_stall }
+
+let omega_params =
+  {
+    Scenario.default_params with
+    n = 3;
+    crash_window = Some 4_000;
+    warmup = Some 30_000;
+    window = Some 5_000;
+  }
+
+let abd_params = { Scenario.default_params with n = 4 }
+
 let test_hbo_clique_within_bound_clean () =
-  let report = Runner.check_hbo ~budget:30 ~graph:(B.complete 4) () in
+  let report =
+    Runner.sweep hbo ~budget:30 ~params:(hbo_params (B.complete 4)) ()
+  in
   (match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -348,7 +374,8 @@ let test_hbo_past_bound_finds_stall_and_replays () =
      majority and stall consensus — a termination violation. *)
   let graph = B.disjoint_cliques ~cliques:2 ~k:3 in
   let report =
-    Runner.check_hbo ~master_seed:1 ~budget:200 ~max_crashes:3 ~graph ()
+    Runner.sweep hbo ~master_seed:1 ~budget:200
+      ~params:(hbo_params ~max_crashes:3 graph) ()
   in
   match report.Runner.violation with
   | None -> Alcotest.fail "expected a termination violation past the bound"
@@ -357,8 +384,8 @@ let test_hbo_past_bound_finds_stall_and_replays () =
     Alcotest.(check bool) "trace captured" true (cx.Runner.trace <> []);
     (* replaying the reported seed must reproduce the identical run *)
     let replayed =
-      Runner.replay_hbo ~max_crashes:3 ~graph ~trial_seed:cx.Runner.trial_seed
-        ()
+      Runner.replay hbo ~params:(hbo_params ~max_crashes:3 graph)
+        ~trial_seed:cx.Runner.trial_seed ()
     in
     (match replayed.Runner.violation with
     | None -> Alcotest.fail "replay lost the violation"
@@ -375,7 +402,9 @@ let test_hbo_expect_stall_on_sm_cut () =
   (* Thm 4.4 scenario on the disconnected graph: crash the (empty) cut
      boundary, partition S from T — consensus must NOT terminate. *)
   let graph = B.disjoint_cliques ~cliques:2 ~k:2 in
-  let report = Runner.check_hbo ~budget:5 ~expect_stall:true ~graph () in
+  let report =
+    Runner.sweep hbo ~budget:5 ~params:(hbo_params ~expect_stall:true graph) ()
+  in
   match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -383,7 +412,9 @@ let test_hbo_expect_stall_on_sm_cut () =
       cx.Runner.detail
 
 let test_abd_sweep_clean () =
-  let report = Runner.check_abd ~budget:40 ~n:4 () in
+  let report =
+    Runner.sweep (module Mm_check.Scenario_abd) ~budget:40 ~params:abd_params ()
+  in
   match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -392,8 +423,8 @@ let test_abd_sweep_clean () =
 
 let test_omega_sweep_clean () =
   let report =
-    Runner.check_omega ~budget:3 ~crash_window:4_000 ~warmup:30_000
-      ~window:5_000 ~variant:Omega.Reliable ~n:3 ()
+    Runner.sweep (module Mm_check.Scenario_omega) ~budget:3
+      ~params:omega_params ()
   in
   match report.Runner.violation with
   | None -> ()
@@ -404,7 +435,8 @@ let test_omega_sweep_clean () =
 let test_report_pp_mentions_replay_seed () =
   let graph = B.disjoint_cliques ~cliques:2 ~k:3 in
   let report =
-    Runner.check_hbo ~master_seed:1 ~budget:200 ~max_crashes:3 ~graph ()
+    Runner.sweep hbo ~master_seed:1 ~budget:200
+      ~params:(hbo_params ~max_crashes:3 graph) ()
   in
   match report.Runner.violation with
   | None -> Alcotest.fail "expected a violation"
@@ -553,7 +585,8 @@ let test_hbo_jobs_deterministic () =
      must report the identical trial/seed/shrunk config as jobs=1. *)
   let graph = B.disjoint_cliques ~cliques:2 ~k:3 in
   let sweep jobs =
-    Runner.check_hbo ~master_seed:1 ~budget:200 ~jobs ~max_crashes:3 ~graph ()
+    Runner.sweep hbo ~master_seed:1 ~budget:200 ~jobs
+      ~params:(hbo_params ~max_crashes:3 graph) ()
   in
   let r1 = sweep 1 in
   Alcotest.(check bool) "violation found" true (r1.Runner.violation <> None);
@@ -564,13 +597,16 @@ let test_hbo_jobs_deterministic () =
 
 let test_omega_jobs_deterministic () =
   let sweep jobs =
-    Runner.check_omega ~budget:4 ~jobs ~crash_window:4_000 ~warmup:30_000
-      ~window:5_000 ~variant:Omega.Reliable ~n:3 ()
+    Runner.sweep (module Mm_check.Scenario_omega) ~budget:4 ~jobs
+      ~params:omega_params ()
   in
   check_same_report "omega" (sweep 1) (sweep 4)
 
 let test_abd_jobs_deterministic () =
-  let sweep jobs = Runner.check_abd ~budget:40 ~jobs ~n:4 () in
+  let sweep jobs =
+    Runner.sweep (module Mm_check.Scenario_abd) ~budget:40 ~jobs
+      ~params:abd_params ()
+  in
   check_same_report "abd" (sweep 1) (sweep 4)
 
 let test_registry_jobs_deterministic () =
@@ -858,16 +894,6 @@ let test_dedup_accounting () =
       check_same_report (Printf.sprintf "dedup jobs=%d" jobs) r (sweep jobs))
     [ 2; 8 ]
 
-let test_dedup_reuse_off_identical () =
-  (* Arena reuse and dedup are independent mechanisms: turning reuse
-     off must not change the report either. *)
-  let sweep reuse =
-    Runner.sweep
-      (module Dedup_abd)
-      ~master_seed:3 ~budget:16 ~reuse_arenas:reuse ~params:dedup_params ()
-  in
-  check_same_report "reuse on/off" (sweep true) (sweep false)
-
 let test_dedup_never_hides_violation () =
   (* Starved mutex with quantized generation: a violating fingerprint
      recurs across trial indices, but a violating fingerprint never
@@ -960,22 +986,20 @@ let test_domain_stats_account_for_trials () =
     seq_report.Runner.deduped seq.(0).Runner.dedup_hits
 
 let test_minor_heap_restored_after_parallel_sweep () =
-  (* Workers pre-size their minor heap (MM_CHECK_MINOR_HEAP override);
-     worker 0 is the calling domain, so the sweep must restore the main
-     domain's setting on the way out. *)
-  Unix.putenv "MM_CHECK_MINOR_HEAP" (string_of_int (1 lsl 18));
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MM_CHECK_MINOR_HEAP" "")
-    (fun () ->
-      let before = (Gc.get ()).Gc.minor_heap_size in
-      let report =
-        Runner.sweep
-          (module Dedup_abd)
-          ~master_seed:2 ~budget:8 ~jobs:4 ~chunk:1 ~params:dedup_params ()
-      in
-      Alcotest.(check int) "sweep ran" 8 report.Runner.trials_run;
-      Alcotest.(check int) "main domain's minor heap restored" before
-        (Gc.get ()).Gc.minor_heap_size)
+  (* Worker 0 of every sweep is the calling domain, so a parallel sweep
+     must leave the caller's GC settings exactly as it found them.  The
+     suite lifts the core cap (MM_CHECK_MAX_DOMAINS), so jobs:4 at
+     chunk:1 really runs four domains. *)
+  let before = Gc.get () in
+  let report, stats =
+    Runner.sweep_stats
+      (module Dedup_abd)
+      ~master_seed:2 ~budget:8 ~jobs:4 ~chunk:1 ~params:dedup_params ()
+  in
+  Alcotest.(check int) "sweep ran" 8 report.Runner.trials_run;
+  Alcotest.(check int) "four domains ran" 4 (Array.length stats);
+  Alcotest.(check bool) "calling domain's Gc settings unchanged" true
+    (before = Gc.get ())
 
 (* --- Nemesis: staged fault-injection timelines --- *)
 
@@ -1288,7 +1312,7 @@ let test_kv_restart_recovery_violation () =
       Alcotest.(check bool) "replayed trace" true
         (cx.Runner.trace = cx'.Runner.trace))
 
-(* --- parameter validation: --settle and --chunk must be positive --- *)
+(* --- parameter validation: --settle, --chunk and --budget --- *)
 
 let rejects f =
   try
@@ -1340,6 +1364,23 @@ let test_chunk_must_be_positive () =
         && r.Runner.distinct_trials = base.Runner.distinct_trials
         && r.Runner.violation = base.Runner.violation ))
     [ 1; 3; 64 ]
+
+let test_budget_must_be_non_negative () =
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sweep rejects budget=%d" bad)
+        true
+        (rejects (fun () ->
+             Runner.sweep (scenario "abd") ~budget:bad ~params:smoke_params ())))
+    [ -1; -3 ];
+  (* an empty budget is an empty sweep, not an error *)
+  let r, stats =
+    Runner.sweep_stats (scenario "abd") ~budget:0 ~jobs:2 ~params:smoke_params
+      ()
+  in
+  Alcotest.(check int) "budget 0: no trials" 0 r.Runner.trials_run;
+  Alcotest.(check int) "budget 0: no domains" 0 (Array.length stats)
 
 let () =
   (* Runner.sweep caps its worker-domain count at the machine's core
@@ -1459,8 +1500,6 @@ let () =
         [
           Alcotest.test_case "duplicates counted not re-run" `Quick
             test_dedup_accounting;
-          Alcotest.test_case "reuse on/off identical" `Quick
-            test_dedup_reuse_off_identical;
           Alcotest.test_case "violations never deduped" `Quick
             test_dedup_never_hides_violation;
           Alcotest.test_case "merge across domains" `Quick
@@ -1512,5 +1551,7 @@ let () =
             test_settle_must_be_positive;
           Alcotest.test_case "chunk must be positive" `Quick
             test_chunk_must_be_positive;
+          Alcotest.test_case "budget must be non-negative" `Quick
+            test_budget_must_be_non_negative;
         ] );
     ]
