@@ -57,6 +57,14 @@ let make_graph family n seed =
     B.disjoint_cliques ~cliques:2 ~k:(n / 2)
   | f -> failwith ("unknown graph family: " ^ f)
 
+(* Graph-family shape errors (an unknown -g, an odd -n with -g disjoint,
+   a non-2^d -n with -g hypercube, ...) are command-line errors: exit 124
+   with the message, never an uncaught exception.  For [Term.ret]. *)
+let with_graph family n seed k =
+  match make_graph family n seed with
+  | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
+  | graph -> k graph
+
 let family_arg default =
   let doc =
     "Shared-memory graph family: edgeless | ring | path | star | complete \
@@ -100,16 +108,15 @@ let seed_arg =
 
 let crashes_arg =
   let doc = "Crash injections as pid:step pairs, e.g. --crash 0:0 --crash 2:500." in
-  Arg.(value & opt_all string [] & info [ "crash" ] ~docv:"PID:STEP" ~doc)
-
-let parse_crashes specs =
-  List.map
-    (fun s ->
-      match String.split_on_char ':' s with
-      | [ pid; step ] -> (int_of_string pid, int_of_string step)
-      | [ pid ] -> (int_of_string pid, 0)
-      | _ -> failwith ("bad crash spec: " ^ s))
-    specs
+  let parse s =
+    let int x = int_of_string_opt (String.trim x) in
+    match List.map int (String.split_on_char ':' s) with
+    | [ Some pid; Some step ] -> Ok (pid, step)
+    | [ Some pid ] -> Ok (pid, 0)
+    | _ -> Error (`Msg (Printf.sprintf "expected PID or PID:STEP, got %S" s))
+  in
+  let pp fmt (pid, step) = Format.fprintf fmt "%d:%d" pid step in
+  Arg.(value & opt_all (conv (parse, pp)) [] & info [ "crash" ] ~docv:"PID:STEP" ~doc)
 
 let impl_arg =
   let impl =
@@ -150,10 +157,9 @@ let experiment_cmd =
 (* --- consensus --- *)
 
 let consensus_cmd =
-  let run family n seed impl crash_specs =
-    let graph = make_graph family n seed in
+  let run family n seed impl crashes =
+    with_graph family n seed @@ fun graph ->
     let inputs = Array.init n (fun i -> i mod 2) in
-    let crashes = parse_crashes crash_specs in
     let o = Hbo.run ~seed ~impl ~graph ~crashes ~inputs () in
     Format.printf "graph: %s %a   crashes: %d@." family G.pp graph
       (List.length crashes);
@@ -174,11 +180,13 @@ let consensus_cmd =
     Format.printf "messages: %d  registers: %d  mem ops: %d  coins: %d@."
       o.Hbo.net.Net.sent o.Hbo.registers
       (Mem.total_ops o.Hbo.mem_total)
-      o.Hbo.coin_flips
+      o.Hbo.coin_flips;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "consensus" ~doc:"Run HBO consensus (Figure 2) on a graph.")
-    Term.(const run $ family_arg "ring" $ n_arg 8 $ seed_arg $ impl_arg $ crashes_arg)
+    Term.(ret (const run $ family_arg "ring" $ n_arg 8 $ seed_arg $ impl_arg
+               $ crashes_arg))
 
 (* --- paxos --- *)
 
@@ -188,7 +196,7 @@ let paxos_cmd =
     Arg.(value & opt string "heartbeat" & info [ "oracle" ] ~docv:"O"
            ~doc:"Leader oracle: heartbeat | static:<pid> | anarchy.")
   in
-  let run oracle n seed crash_specs =
+  let run oracle n seed crashes =
     let oracle =
       match String.split_on_char ':' (String.lowercase_ascii oracle) with
       | [ "heartbeat" ] -> Paxos.Heartbeat
@@ -197,7 +205,6 @@ let paxos_cmd =
       | _ -> failwith ("unknown oracle: " ^ oracle)
     in
     let inputs = Array.init n (fun i -> i * 10) in
-    let crashes = parse_crashes crash_specs in
     let o = Paxos.run ~seed ~oracle ~n ~crashes ~inputs () in
     Format.printf "stopped: %a after %d steps, max ballot %d@."
       Engine.pp_stop_reason o.Paxos.reason o.Paxos.total_steps
@@ -230,8 +237,7 @@ let smr_cmd =
     Arg.(value & opt int 3 & info [ "commands" ] ~docv:"K"
            ~doc:"Commands issued per process.")
   in
-  let run n seed cmds crash_specs =
-    let crashes = parse_crashes crash_specs in
+  let run n seed cmds crashes =
     let o =
       Log.run ~seed ~n ~commands_per_proc:cmds ~crashes ~max_steps:5_000_000 ()
     in
@@ -265,16 +271,17 @@ let kv_cmd =
   let module W = Mm_kv.Workload in
   let module H = Mm_kv.Histogram in
   let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"S"
-           ~doc:"Shard count (one replicated-log group each).")
+    Arg.(value & opt pos_int 2 & info [ "shards" ] ~docv:"S"
+           ~doc:"Shard count (one replicated-log group each). Must be \
+                 positive.")
   in
   let replicas_arg =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R"
-           ~doc:"Replicas per shard.")
+    Arg.(value & opt pos_int 3 & info [ "replicas" ] ~docv:"R"
+           ~doc:"Replicas per shard. Must be positive.")
   in
   let clients_arg =
-    Arg.(value & opt int 300 & info [ "clients" ] ~docv:"C"
-           ~doc:"Open-loop client population size.")
+    Arg.(value & opt pos_int 300 & info [ "clients" ] ~docv:"C"
+           ~doc:"Open-loop client population size. Must be positive.")
   in
   let ops_arg =
     Arg.(value & opt int 400 & info [ "ops" ] ~docv:"K"
@@ -285,8 +292,8 @@ let kv_cmd =
            ~doc:"Zipf skew of the key popularity distribution (0 = uniform).")
   in
   let keys_arg =
-    Arg.(value & opt int 128 & info [ "keys" ] ~docv:"K"
-           ~doc:"Key-space size.")
+    Arg.(value & opt pos_int 128 & info [ "keys" ] ~docv:"K"
+           ~doc:"Key-space size. Must be positive.")
   in
   let gap_arg =
     Arg.(value & opt float 40.0 & info [ "gap" ] ~docv:"G"
@@ -306,12 +313,12 @@ let kv_cmd =
                  through the log like puts.")
   in
   let timeout_arg =
-    Arg.(value & opt (some int) None & info [ "timeout" ] ~docv:"D"
+    Arg.(value & opt (some pos_int) None & info [ "timeout" ] ~docv:"D"
            ~doc:"Per-op client deadline in engine ticks: a request not \
                  completed within D ticks of its arrival counts as a \
                  timeout, drops out of the latency histograms, and its \
                  client gives up (the op may still take effect — \
-                 at-least-once).")
+                 at-least-once). Must be positive.")
   in
   let run shards replicas clients ops theta keys gap reads max_steps
       no_local_reads timeout seed =
@@ -388,9 +395,8 @@ let election_cmd =
     Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
            ~doc:"Drop probability for the lossy variant.")
   in
-  let run variant drop n seed crash_specs =
+  let run variant drop n seed crashes =
     let variant = omega_variant ~drop variant in
-    let crashes = parse_crashes crash_specs in
     let timely =
       (* ensure at least one never-crashed process is timely *)
       let crashed_pids = List.map fst crashes in
@@ -604,51 +610,47 @@ let check_cmd =
       report_domains =
     let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
     let variant = omega_variant ~drop variant in
-    (* The graph family's shape constraints (odd -n with -g disjoint, a
-       non-square -n for torus, ...) are command-line errors too. *)
-    match make_graph family n seed with
-    | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
-    | graph ->
-      let params =
-        {
-          Scenario.default_params with
-          graph = Some graph;
-          family;
-          n;
-          backend;
-          impl;
-          variant;
-          drop;
-          expect_stall;
-          max_crashes;
-          max_steps;
-          entries;
-          commands;
-          trace_tail = trace;
-          nemesis;
-          restarts;
-          settle;
-          shards;
-          clients;
-          local_reads = not no_local_reads;
-        }
-      in
-      (match Runner.preamble (module S) ~params with
-      | Some line -> Format.printf "%s@." line
-      | None -> ());
-      let report, stats =
-        match replay with
-        | Some trial_seed ->
-          (Runner.replay (module S) ~params ~trial_seed (), [||])
-        | None ->
-          Runner.sweep_stats (module S) ~master_seed:seed ?budget ~jobs ?chunk
-            ~params ()
-      in
-      Format.printf "%a" Runner.pp_report report;
-      if report_domains && Array.length stats > 0 then
-        Format.printf "%a" Runner.pp_domain_stats stats;
-      if report.Runner.violation <> None then exit 1;
-      `Ok ()
+    with_graph family n seed @@ fun graph ->
+    let params =
+      {
+        Scenario.default_params with
+        graph = Some graph;
+        family;
+        n;
+        backend;
+        impl;
+        variant;
+        drop;
+        expect_stall;
+        max_crashes;
+        max_steps;
+        entries;
+        commands;
+        trace_tail = trace;
+        nemesis;
+        restarts;
+        settle;
+        shards;
+        clients;
+        local_reads = not no_local_reads;
+      }
+    in
+    (match Runner.preamble (module S) ~params with
+    | Some line -> Format.printf "%s@." line
+    | None -> ());
+    let report, stats =
+      match replay with
+      | Some trial_seed ->
+        (Runner.replay (module S) ~params ~trial_seed (), [||])
+      | None ->
+        Runner.sweep_stats (module S) ~master_seed:seed ?budget ~jobs ?chunk
+          ~params ()
+    in
+    Format.printf "%a" Runner.pp_report report;
+    if report_domains && Array.length stats > 0 then
+      Format.printf "%a" Runner.pp_domain_stats stats;
+    if report.Runner.violation <> None then exit 1;
+    `Ok ()
   in
   let man =
     `S "SCENARIOS"
@@ -689,7 +691,7 @@ let check_cmd =
 
 let graph_cmd =
   let run family n seed =
-    let g = make_graph family n seed in
+    with_graph family n seed @@ fun g ->
     Format.printf "%s: %a, max degree %d, connected: %b@." family G.pp g
       (G.max_degree g) (G.is_connected g);
     let n = G.order g in
@@ -710,16 +712,17 @@ let graph_cmd =
     if n <= 22 then
       Format.printf "true fault tolerance (represented majority): %d@."
         (E.max_guaranteed_f g);
-    match Cut.min_f_with_cut g with
+    (match Cut.min_f_with_cut g with
     | Some f ->
       let cut = Option.get (Cut.find g ~f) in
       Format.printf "SM-cut exists at f = %d: %a (Thm 4.4 impossibility)@." f
         Cut.pp cut
-    | None -> Format.printf "no SM-cut found up to f = n@."
+    | None -> Format.printf "no SM-cut found up to f = n@.");
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "graph" ~doc:"Analyze a shared-memory graph: expansion, fault-tolerance bounds, SM-cuts.")
-    Term.(const run $ family_arg "ring" $ n_arg 12 $ seed_arg)
+    Term.(ret (const run $ family_arg "ring" $ n_arg 12 $ seed_arg))
 
 let () =
   let info =

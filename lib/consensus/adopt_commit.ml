@@ -27,7 +27,7 @@ let create store ~name ~owner ~participants =
   let mk suffix =
     Array.init (Array.length members) (fun i ->
         Mem.alloc store
-          ~name:(Printf.sprintf "%s.%s[%d]" name suffix i)
+          ~name:(name ^ "." ^ suffix ^ "[" ^ string_of_int i ^ "]")
           ~owner ~shared_with None)
   in
   { members; proposals = mk "prop"; flags = mk "flag" }

@@ -56,7 +56,45 @@ let trusted_propose reg v =
         Mem.write reg ~by:me (Some v);
         v)
 
+(* Per-host, round-indexed object table: [get host round] returns the
+   object of (host, round), building it with [make host round] the first
+   time a round is reached.  Rounds start at 1 and grow by one, so a
+   doubling array per host makes every lookup O(1). *)
+let round_table n make =
+  let rows = Array.make n [||] in
+  fun host round ->
+    let row = rows.(host) in
+    let row =
+      if round < Array.length row then row
+      else begin
+        let grown = Array.make (max 8 (2 * round)) None in
+        Array.blit row 0 grown 0 (Array.length row);
+        rows.(host) <- grown;
+        grown
+      end
+    in
+    match row.(round) with
+    | Some obj -> obj
+    | None ->
+      let obj = make host round in
+      row.(round) <- Some obj;
+      obj
+
+(* Same bytes as [Printf.sprintf "%s[%d,%d]" prefix host round]. *)
+let object_name prefix host round =
+  String.concat ""
+    [ prefix; "["; string_of_int host; ","; string_of_int round; "]" ]
+
 let make_objects impl graph store =
+  let n = Graph.order graph in
+  (* Each host's closed neighbourhood, computed once per run rather than
+     re-sorted per object.  [Trusted] also passes one physical
+     [shared_with] list per host to every allocation, which lets
+     [Mem.alloc] validate it once. *)
+  let nbhd () =
+    Array.init n (fun h ->
+        List.map Id.of_int (Graph.closed_neighborhood graph h))
+  in
   match impl with
   | Direct ->
     if Graph.size graph <> 0 then
@@ -65,85 +103,62 @@ let make_objects impl graph store =
          requires an edgeless shared-memory graph";
     { rvals = (fun _ _ v -> v); pvals = (fun _ _ v -> v) }
   | Trusted ->
-    let tbl_r : (int * int, int -> int) Hashtbl.t = Hashtbl.create 64 in
-    let tbl_p : (int * int, int option -> int option) Hashtbl.t =
-      Hashtbl.create 64
+    let shared =
+      Array.mapi
+        (fun h ps -> List.filter (fun p -> Id.to_int p <> h) ps)
+        (nbhd ())
     in
-    let neighborhood host =
-      List.map Id.of_int (Graph.closed_neighborhood graph host)
-    in
-    let get tbl prefix host round =
-      match Hashtbl.find_opt tbl (host, round) with
-      | Some f -> f
-      | None ->
-        let owner = Id.of_int host in
-        let shared =
-          List.filter (fun p -> not (Id.equal p owner)) (neighborhood host)
-        in
-        let reg =
+    let table prefix =
+      round_table n (fun host round ->
           Mem.alloc store
-            ~name:(Printf.sprintf "%s[%d,%d]" prefix host round)
-            ~owner ~shared_with:shared None
-        in
-        let f v = trusted_propose reg v in
-        Hashtbl.add tbl (host, round) f;
-        f
+            ~name:(object_name prefix host round)
+            ~owner:(Id.of_int host) ~shared_with:shared.(host) None)
     in
+    let r = table "RVals" and p = table "PVals" in
     {
-      rvals = (fun host round v -> (get tbl_r "RVals" host round) v);
-      pvals = (fun host round v -> (get tbl_p "PVals" host round) v);
+      rvals = (fun host round v -> trusted_propose (r host round) v);
+      pvals = (fun host round v -> trusted_propose (p host round) v);
     }
   | Registers ->
-    let tbl_r : (int * int, int Rand_consensus.t) Hashtbl.t =
-      Hashtbl.create 64
+    let nbhd = nbhd () in
+    let table prefix =
+      round_table n (fun host round ->
+          Rand_consensus.create store
+            ~name:(object_name prefix host round)
+            ~owner:(Id.of_int host) ~participants:nbhd.(host))
     in
-    let tbl_p : (int * int, int option Rand_consensus.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let make prefix host round =
-      let owner = Id.of_int host in
-      let participants =
-        List.map Id.of_int (Graph.closed_neighborhood graph host)
-      in
-      Rand_consensus.create store
-        ~name:(Printf.sprintf "%s[%d,%d]" prefix host round)
-        ~owner ~participants
-    in
-    let get tbl prefix host round =
-      match Hashtbl.find_opt tbl (host, round) with
-      | Some obj -> obj
-      | None ->
-        let obj = make prefix host round in
-        Hashtbl.add tbl (host, round) obj;
-        obj
-    in
+    let r = table "RVals" and p = table "PVals" in
     {
-      rvals =
-        (fun host round v ->
-          Rand_consensus.propose (get tbl_r "RVals" host round) v);
-      pvals =
-        (fun host round v ->
-          Rand_consensus.propose (get tbl_p "PVals" host round) v);
+      rvals = (fun host round v -> Rand_consensus.propose (r host round) v);
+      pvals = (fun host round v -> Rand_consensus.propose (p host round) v);
     }
 
-(* Message buffering: one bucket per (phase, round), mapping represented
-   process id -> agreed value.  Consensus-object agreement guarantees two
-   senders never report different values for the same id; the assert
-   checks that invariant on every ingest. *)
+(* Message buffering: one bucket per (phase, round), holding the agreed
+   value of each represented process id in a flat n-slot array plus
+   running counts, so [await], [majority_value] and [non_question] are
+   O(1).  Slots encode [absent], '?' ([question]) or the value (0/1). *)
+let absent = -1
+let question = -2
+
+type bucket = {
+  vals : int array;
+  mutable size : int;
+  mutable zeros : int;
+  mutable ones : int;
+}
+
 let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
-  let buckets : (int * int, (int, int option) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 32
+  let buckets =
+    round_table 2 (fun _ _ ->
+        { vals = Array.make n absent; size = 0; zeros = 0; ones = 0 })
   in
-  let phase_key = function R -> 0 | P -> 1 in
-  let bucket phase round =
-    let key = (phase_key phase, round) in
-    match Hashtbl.find_opt buckets key with
-    | Some b -> b
-    | None ->
-      let b = Hashtbl.create (2 * n) in
-      Hashtbl.add buckets key b;
-      b
-  in
+  let bucket phase round = buckets (match phase with R -> 0 | P -> 1) round in
+  (* Consensus-object agreement guarantees two senders never report
+     different values for the same id.  It also makes every non-'?'
+     P-value of a round equal: each is a majority of that round's agreed
+     R-values, and two majorities of one id -> value map share an id.
+     The asserts check both invariants on every ingest; the second is
+     what lets [non_question] ignore arrival order. *)
   let ingest () =
     List.iter
       (fun (_src, payload) ->
@@ -152,10 +167,17 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
           let b = bucket phase round in
           List.iter
             (fun (q, v) ->
-              match Hashtbl.find_opt b q with
-              | None -> Hashtbl.add b q v
-              | Some v' -> assert (v = v'))
-            tuples
+              let code = match v with Some x -> x | None -> question in
+              let old = b.vals.(q) in
+              if old = absent then begin
+                b.vals.(q) <- code;
+                b.size <- b.size + 1;
+                if code = 0 then b.zeros <- b.zeros + 1
+                else if code = 1 then b.ones <- b.ones + 1
+              end
+              else assert (old = code))
+            tuples;
+          assert (phase = R || b.zeros = 0 || b.ones = 0)
         | _ -> ())
       (Proc.receive ())
   in
@@ -163,7 +185,7 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
     let rec go () =
       ingest ();
       let b = bucket phase round in
-      if 2 * Hashtbl.length b > n then b
+      if 2 * b.size > n then b
       else begin
         Proc.yield ();
         go ()
@@ -171,13 +193,9 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
     in
     go ()
   in
-  (* Count ids in the bucket carrying value [v]. *)
-  let count_value b v =
-    Hashtbl.fold (fun _ w acc -> if w = v then acc + 1 else acc) b 0
-  in
   let majority_value b =
-    if 2 * count_value b (Some 0) > n then Some 0
-    else if 2 * count_value b (Some 1) > n then Some 1
+    if 2 * b.zeros > n then Some 0
+    else if 2 * b.ones > n then Some 1
     else None
   in
   let propose_r round v =
@@ -199,9 +217,7 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
       on_decide ~round v
     | Some _ | None -> ());
     let non_question =
-      Hashtbl.fold
-        (fun _ w acc -> match (acc, w) with None, Some v -> Some v | _ -> acc)
-        pb None
+      if pb.zeros > 0 then Some 0 else if pb.ones > 0 then Some 1 else None
     in
     let next = round + 1 in
     let r_tuples' =

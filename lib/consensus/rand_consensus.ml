@@ -24,7 +24,7 @@ let create store ~name ~owner ~participants =
   let decisions =
     Array.init (List.length members) (fun i ->
         Mem.alloc store
-          ~name:(Printf.sprintf "%s.dec[%d]" name i)
+          ~name:(name ^ ".dec[" ^ string_of_int i ^ "]")
           ~owner ~shared_with None)
   in
   { name; owner; members; store; decisions; rounds = Hashtbl.create 4 }
@@ -41,7 +41,7 @@ let round_object t r =
   | None ->
     let ac =
       Adopt_commit.create t.store
-        ~name:(Printf.sprintf "%s.ac[%d]" t.name r)
+        ~name:(t.name ^ ".ac[" ^ string_of_int r ^ "]")
         ~owner:t.owner ~participants:t.members
     in
     Hashtbl.add t.rounds r ac;

@@ -81,6 +81,16 @@ type store = {
   mutable emu_msgs : int;
   mutable emu_min_live : int;
   mutable transport : sent:int -> delivered:int -> unit;
+  (* Per-owner sharing-set memo: the last [shared_with] list [alloc]
+     validated for that owner under the current domain.  [reset] clears
+     it, so a domain change re-validates every set. *)
+  sharing : sharing option array;
+}
+
+and sharing = {
+  shared_with : Id.t list;  (* compared by physical equality *)
+  sorted : Id.t list;
+  ids : int array;
 }
 
 type 'a reg = {
@@ -132,6 +142,7 @@ let create ?(backend = Backend.Native) dom =
     emu_msgs = 0;
     emu_min_live = n;
     transport = no_transport;
+    sharing = Array.make (max n 1) None;
   }
 
 let reset ?(backend = Backend.Native) s dom =
@@ -156,7 +167,8 @@ let reset ?(backend = Backend.Native) s dom =
   s.blocked <- 0;
   s.emu_msgs <- 0;
   s.emu_min_live <- n;
-  s.transport <- no_transport
+  s.transport <- no_transport;
+  Array.fill s.sharing 0 (Array.length s.sharing) None
 
 let backend s = s.backend
 let set_transport s f = s.transport <- f
@@ -200,21 +212,39 @@ let live_hosts s = s.live
 
 let domain s = s.dom
 
-let alloc s ~name ~owner ~shared_with init =
-  let members = List.sort_uniq Id.compare (owner :: shared_with) in
-  if not (Domain_.can_share s.dom members) then
+let validate s ~name ~owner ~shared_with =
+  let sorted = List.sort_uniq Id.compare (owner :: shared_with) in
+  if not (Domain_.can_share s.dom sorted) then
     invalid_arg
       (Printf.sprintf
          "Mem.alloc %S: sharing set not permitted by the shared-memory domain"
          name);
-  let allowed = Array.of_list (List.map Id.to_int members) in
+  { shared_with; sorted; ids = Array.of_list (List.map Id.to_int sorted) }
+
+(* Register families (one per consensus object, round after round) pass
+   the same physical list for one owner again and again; validating it
+   once per (store, owner, list) keeps [alloc] O(1) on a hit.  Members
+   and ids are immutable, so registers may share them. *)
+let alloc s ~name ~owner ~shared_with init =
+  let o = Id.to_int owner in
+  let m =
+    if o < 0 || o >= Array.length s.sharing then
+      validate s ~name ~owner ~shared_with
+    else
+      match s.sharing.(o) with
+      | Some m when m.shared_with == shared_with -> m
+      | _ ->
+        let m = validate s ~name ~owner ~shared_with in
+        s.sharing.(o) <- Some m;
+        m
+  in
   s.regs <- s.regs + 1;
   {
     reg_name = name;
     reg_owner = owner;
-    allowed;
+    allowed = m.ids;
     last_ok = -1;
-    member_list = members;
+    member_list = m.sorted;
     home = s;
     tally = s.per_proc;
     value = init;

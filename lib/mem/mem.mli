@@ -162,7 +162,9 @@ val domain : store -> Mm_core.Domain.t
 
 (** [alloc store ~name ~owner ~shared_with init] allocates a register
     hosted at [owner] and accessible by [owner :: shared_with].
-    Raises [Invalid_argument] when the domain forbids that sharing set. *)
+    Raises [Invalid_argument] when the domain forbids that sharing set.
+    A register family that passes one physical [shared_with] list per
+    owner pays for its validation once (until the next {!reset}). *)
 val alloc :
   store ->
   name:string ->

@@ -435,6 +435,127 @@ let test_sm_consensus_n_minus_1_crashes () =
   in
   Alcotest.(check bool) "lone survivor decides" true (Sm.all_correct_decided o)
 
+(* --- HBO outcomes pinned --- *)
+
+(* [Hbo.run] is a pure function of its inputs and seed.  These outcomes
+   were recorded with the tuple-keyed Hashtbl object tables and buckets
+   that the round-indexed tables replaced; any change to HBO's schedule
+   of steps, messages, register ops or coin flips shows up here. *)
+let show_outcome (o : Hbo.outcome) =
+  let opt = function Some v -> string_of_int v | None -> "-" in
+  let arr a = String.concat "," (Array.to_list (Array.map opt a)) in
+  let { Network.sent; delivered; dropped; in_flight } = o.Hbo.net in
+  let { Mem.reads_local; reads_remote; writes_local; writes_remote } =
+    o.Hbo.mem_total
+  in
+  Printf.sprintf
+    "steps=%d dec=%s rnd=%s net=%d/%d/%d/%d mem=%d/%d/%d/%d regs=%d coins=%d"
+    o.Hbo.total_steps (arr o.Hbo.decisions) (arr o.Hbo.decide_round) sent
+    delivered dropped in_flight reads_local reads_remote writes_local
+    writes_remote o.Hbo.registers o.Hbo.coin_flips
+
+(* Every (impl, graph) pair without and with crashes under the default
+   scheduler, plus PCT-scheduled runs in which a fast process races
+   hundreds of rounds ahead, so the round tables grow many times. *)
+let pinned_runs =
+  let graphs =
+    [
+      ("complete 6", B.complete 6, [ (0, 0); (1, 0); (2, 0); (3, 0) ]);
+      ("ring 7", B.ring 7, [ (1, 0); (4, 100) ]);
+      ("hypercube 8", B.hypercube 3, [ (0, 0); (7, 30) ]);
+      ("disjoint 2x3", B.disjoint_cliques ~cliques:2 ~k:3, [ (0, 0); (4, 40) ]);
+    ]
+  in
+  let impls = [ ("trusted", Hbo.Trusted); ("registers", Hbo.Registers) ] in
+  let inputs n = Array.init n (fun i -> i * 7 / 3 mod 2) in
+  let plain =
+    List.concat_map
+      (fun (iname, impl) ->
+        List.concat_map
+          (fun (gname, graph, crashes) ->
+            List.map
+              (fun crashes ->
+                let n = G.order graph in
+                ( Printf.sprintf "%s %s f=%d" iname gname (List.length crashes),
+                  fun () ->
+                    Hbo.run ~seed:(n + List.length crashes) ~impl
+                      ~max_steps:400_000 ~graph ~crashes ~inputs:(inputs n) () ))
+              [ []; crashes ])
+          graphs)
+      impls
+  in
+  let pct =
+    List.map
+      (fun (iname, impl, gname, graph, seed) ->
+        let n = G.order graph in
+        ( Printf.sprintf "%s %s pct" iname gname,
+          fun () ->
+            Hbo.run ~seed ~impl
+              ~sched:(Mm_check.Explore.pct ~seed ~n ~k:2 ~depth:10_000)
+              ~max_steps:10_000 ~graph ~inputs:(inputs n) () ))
+      [
+        ("trusted", Hbo.Trusted, "complete 6", B.complete 6, 2);
+        ("registers", Hbo.Registers, "complete 6", B.complete 6, 2);
+        ("trusted", Hbo.Trusted, "ring 7", B.ring 7, 1);
+        ("registers", Hbo.Registers, "ring 7", B.ring 7, 2);
+      ]
+  in
+  plain @ pct
+
+let pinned_outcomes =
+  [
+    ( "trusted complete 6 f=0",
+      "steps=273 dec=0,0,0,0,0,0 rnd=1,1,1,1,1,1 net=77/77/0/0 mem=15/74/3/15 regs=18 coins=0" );
+    ( "trusted complete 6 f=4",
+      "steps=79 dec=-,-,-,-,1,1 rnd=-,-,-,-,1,1 net=24/23/0/1 mem=4/20/2/10 regs=13 coins=0" );
+    ( "trusted ring 7 f=0",
+      "steps=220 dec=0,0,0,0,0,0,0 rnd=1,1,1,1,1,1,1 net=98/98/0/0 mem=16/31/5/13 regs=20 coins=0" );
+    ( "trusted ring 7 f=2",
+      "steps=301 dec=1,-,1,1,-,1,1 rnd=1,-,1,1,-,1,2 net=139/139/0/0 mem=22/44/9/22 regs=32 coins=0" );
+    ( "trusted hypercube 8 f=0",
+      "steps=324 dec=0,0,0,0,0,0,0,0 rnd=1,1,1,1,1,1,1,1 net=134/132/0/2 mem=20/60/3/21 regs=24 coins=0" );
+    ( "trusted hypercube 8 f=2",
+      "steps=283 dec=-,1,1,1,1,1,1,- rnd=-,1,1,1,1,1,1,- net=120/120/0/0 mem=17/53/8/18 regs=29 coins=0" );
+    ( "trusted disjoint 2x3 f=0",
+      "steps=384 dec=0,0,0,0,0,0 rnd=2,2,2,2,2,2 net=158/158/0/0 mem=28/57/9/21 regs=30 coins=18" );
+    ( "trusted disjoint 2x3 f=2",
+      "steps=286 dec=-,0,0,0,-,0 rnd=-,2,2,2,-,2 net=114/114/0/0 mem=20/42/10/22 regs=34 coins=12" );
+    ( "registers complete 6 f=0",
+      "steps=4180 dec=1,1,1,1,1,1 rnd=2,2,2,2,2,2 net=144/144/0/0 mem=544/2649/77/355 regs=540 coins=60" );
+    ( "registers complete 6 f=4",
+      "steps=548 dec=-,-,-,-,1,1 rnd=-,-,-,-,1,1 net=24/24/0/0 mem=72/334/12/54 regs=222 coins=0" );
+    ( "registers ring 7 f=0",
+      "steps=1665 dec=1,1,1,1,1,1,1 rnd=2,3,3,2,2,2,2 net=294/294/0/0 mem=288/567/71/159 regs=414 coins=9" );
+    ( "registers ring 7 f=2",
+      "steps=957 dec=0,-,0,0,-,0,0 rnd=2,-,2,2,-,2,2 net=140/140/0/0 mem=158/355/42/102 regs=297 coins=6" );
+    ( "registers hypercube 8 f=0",
+      "steps=1239 dec=0,0,0,0,0,0,0,0 rnd=1,1,1,1,1,1,1,1 net=128/128/0/0 mem=172/606/32/118 regs=256 coins=10" );
+    ( "registers hypercube 8 f=2",
+      "steps=883 dec=-,1,1,1,1,1,1,- rnd=-,1,1,1,1,1,1,- net=96/96/0/0 mem=105/446/20/88 regs=236 coins=3" );
+    ( "registers disjoint 2x3 f=0",
+      "steps=1244 dec=0,0,0,0,0,0 rnd=2,2,2,2,2,2 net=144/143/0/1 mem=218/438/68/137 regs=243 coins=21" );
+    ( "registers disjoint 2x3 f=2",
+      "steps=816 dec=-,1,1,1,-,1 rnd=-,2,2,2,-,2 net=96/96/0/0 mem=141/296/44/89 regs=234 coins=14" );
+    ( "trusted complete 6 pct",
+      "steps=10000 dec=0,0,-,-,0,0 rnd=1,1,-,-,1,1 net=3143/3143/0/0 mem=527/2636/350/1748 regs=2099 coins=0" );
+    ( "registers complete 6 pct",
+      "steps=10000 dec=0,0,-,-,0,0 rnd=1,1,-,-,1,1 net=774/774/0/0 mem=1108/5841/159/848 regs=5604 coins=0" );
+    ( "trusted ring 7 pct",
+      "steps=10000 dec=-,0,-,0,-,0,- rnd=-,8,-,8,-,8,- net=2175/2175/0/0 mem=315/628/294/435 regs=729 coins=42" );
+    ( "registers ring 7 pct",
+      "steps=10000 dec=0,-,0,0,-,-,0 rnd=4,-,4,4,-,-,4 net=826/826/0/0 mem=786/1607/216/466 regs=1935 coins=18" );
+  ]
+
+let test_hbo_pinned_outcomes () =
+  let outcomes = List.map (fun (label, run) -> (label, run ())) pinned_runs in
+  List.iter2
+    (fun (label, o) (label', expected) ->
+      Alcotest.(check string) "row" label' label;
+      Alcotest.(check string) label expected (show_outcome o))
+    outcomes pinned_outcomes;
+  Alcotest.(check bool) "some row allocates >= 200 registers" true
+    (List.exists (fun (_, o) -> o.Hbo.registers >= 200) outcomes)
+
 let () =
   Alcotest.run "mm_consensus"
     [
@@ -482,6 +603,7 @@ let () =
             test_hbo_safe_outside_its_assumptions;
           Alcotest.test_case "registers + round robin" `Quick
             test_hbo_registers_adversarial_round_robin;
+          Alcotest.test_case "pinned outcomes" `Quick test_hbo_pinned_outcomes;
           QCheck_alcotest.to_alcotest prop_hbo_safety_random_graphs;
         ] );
       ( "sm-baseline",

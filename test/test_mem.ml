@@ -305,6 +305,43 @@ let test_reset_switches_backend () =
   Alcotest.(check bool) "backend emulated again" true
     (Mem.backend store = Mem.Backend.Emulated)
 
+(* [alloc] validates a sharing set once per (store, owner, list); the
+   memo must never let a set through that the store's current domain
+   forbids: not after a [reset] onto another domain, and not for another
+   owner passing the same physical list. *)
+let test_sharing_memo_reset () =
+  let shared = [ id 1; id 2 ] in
+  let store = Mem.create (Domain.full 3) in
+  ignore (Mem.alloc store ~name:"a" ~owner:(id 0) ~shared_with:shared 0);
+  ignore (Mem.alloc store ~name:"b" ~owner:(id 0) ~shared_with:shared 0);
+  Mem.reset store (Domain.isolated 3);
+  Alcotest.(check bool) "same list re-validated after reset" true
+    (try
+       ignore (Mem.alloc store ~name:"c" ~owner:(id 0) ~shared_with:shared 0);
+       false
+     with Invalid_argument _ -> true);
+  let path = Mem.create (Domain.uniform_of_graph (B.path 5)) in
+  let one = [ id 1 ] in
+  ignore (Mem.alloc path ~name:"d" ~owner:(id 0) ~shared_with:one 0);
+  Alcotest.(check bool) "memo is per owner" true
+    (try
+       ignore (Mem.alloc path ~name:"e" ~owner:(id 4) ~shared_with:one 0);
+       false
+     with Invalid_argument _ -> true)
+
+let test_sharing_memo_access () =
+  let store = Mem.create (Domain.full 4) in
+  let shared = [ id 2; id 1 ] in
+  ignore (Mem.alloc store ~name:"x" ~owner:(id 0) ~shared_with:shared 0);
+  let hit = Mem.alloc store ~name:"y" ~owner:(id 0) ~shared_with:shared 0 in
+  Alcotest.(check (list int)) "members" [ 0; 1; 2 ]
+    (List.map Id.to_int (Mem.members hit));
+  Mem.write hit ~by:(id 2) 5;
+  Alcotest.(check int) "member reads" 5 (Mem.read hit ~by:(id 1));
+  Alcotest.check_raises "non-member read"
+    (Mem.Access_violation { reg = "y"; by = id 3 })
+    (fun () -> ignore (Mem.read hit ~by:(id 3)))
+
 let test_backend_names () =
   List.iter
     (fun (name, b) ->
@@ -346,6 +383,10 @@ let () =
           Alcotest.test_case "peek" `Quick test_peek_no_accounting;
           Alcotest.test_case "counters arithmetic" `Quick test_counters_arith;
           Alcotest.test_case "memory failure" `Quick test_memory_failure;
+          Alcotest.test_case "sharing memo cleared by reset" `Quick
+            test_sharing_memo_reset;
+          Alcotest.test_case "sharing memo keeps access checks" `Quick
+            test_sharing_memo_access;
           QCheck_alcotest.to_alcotest prop_last_write_wins;
         ] );
       ( "backend",
