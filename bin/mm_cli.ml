@@ -73,20 +73,36 @@ let family_arg default =
   in
   Arg.(value & opt string default & info [ "g"; "graph" ] ~docv:"FAMILY" ~doc)
 
-(* Knobs that are counts (processes, steps, trials, domains) must be
-   strictly positive; reject them at parse time with a clear message
-   (a usage error, exit 124) instead of letting a 0 or negative value
-   surface later as an uncaught exception. *)
-let pos_int =
+(* Numeric knobs are range-checked at parse time: a value outside the
+   range is a usage error (exit 124) with a clear message, instead of
+   surfacing later as an uncaught exception.  [what] names the range.
+   NaN fails every comparison, so a float conv rejects it too. *)
+let int_conv what ok =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some v when v > 0 -> Ok v
-    | Some v ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
-    | None ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some v when ok v -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "expected %s, got %d" what v))
+    | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let float_conv what ok =
+  let parse s =
+    let s = String.trim s in
+    match float_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" what s))
+    | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
+(* Counts of processes, steps, trials and domains. *)
+let pos_int = int_conv "a positive integer" (fun v -> v > 0)
+let nat = int_conv "a non-negative integer" (fun v -> v >= 0)
+
+(* A message drop probability, as [Network] and Omega's lossy variant
+   take it. *)
+let drop_prob = float_conv "a probability in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
 
 let n_arg default =
   Arg.(value & opt pos_int default & info [ "n" ] ~docv:"N"
@@ -105,6 +121,14 @@ let omega_variant ~drop = function
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+(* A --crash pid must name one of the [n] processes.  For [Term.ret]. *)
+let with_crashes ~n crashes k =
+  match List.find_opt (fun (pid, _) -> pid < 0 || pid >= n) crashes with
+  | Some (pid, _) ->
+    `Error
+      (false, Printf.sprintf "--crash %d: no such process (pids are 0..%d)" pid (n - 1))
+  | None -> k ()
 
 let crashes_arg =
   let doc = "Crash injections as pid:step pairs, e.g. --crash 0:0 --crash 2:500." in
@@ -159,6 +183,7 @@ let experiment_cmd =
 let consensus_cmd =
   let run family n seed impl crashes =
     with_graph family n seed @@ fun graph ->
+    with_crashes ~n crashes @@ fun () ->
     let inputs = Array.init n (fun i -> i mod 2) in
     let o = Hbo.run ~seed ~impl ~graph ~crashes ~inputs () in
     Format.printf "graph: %s %a   crashes: %d@." family G.pp graph
@@ -197,6 +222,7 @@ let paxos_cmd =
            ~doc:"Leader oracle: heartbeat | static:<pid> | anarchy.")
   in
   let run oracle n seed crashes =
+    with_crashes ~n crashes @@ fun () ->
     let oracle =
       match String.split_on_char ':' (String.lowercase_ascii oracle) with
       | [ "heartbeat" ] -> Paxos.Heartbeat
@@ -222,22 +248,24 @@ let paxos_cmd =
       (Paxos.validity ~inputs o)
       (Paxos.all_correct_decided o);
     Format.printf "messages: %d  mem ops: %d@." o.Paxos.net.Net.sent
-      (Mem.total_ops o.Paxos.mem_total)
+      (Mem.total_ops o.Paxos.mem_total);
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "paxos"
        ~doc:"Run Ω-driven shared-memory Paxos (Disk-Paxos style).")
-    Term.(const run $ oracle_arg $ n_arg 5 $ seed_arg $ crashes_arg)
+    Term.(ret (const run $ oracle_arg $ n_arg 5 $ seed_arg $ crashes_arg))
 
 (* --- smr --- *)
 
 let smr_cmd =
   let module Log = Mm_smr.Replicated_log in
   let cmds_arg =
-    Arg.(value & opt int 3 & info [ "commands" ] ~docv:"K"
-           ~doc:"Commands issued per process.")
+    Arg.(value & opt nat 3 & info [ "commands" ] ~docv:"K"
+           ~doc:"Commands issued per process. Must be non-negative.")
   in
   let run n seed cmds crashes =
+    with_crashes ~n crashes @@ fun () ->
     let o =
       Log.run ~seed ~n ~commands_per_proc:cmds ~crashes ~max_steps:5_000_000 ()
     in
@@ -258,11 +286,12 @@ let smr_cmd =
                 (fun (s, c) ->
                   Format.asprintf "%d:%a" s Log.pp_command c)
                 log)))
-      o.Log.logs
+      o.Log.logs;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "smr" ~doc:"Run the replicated log (multi-decree consensus).")
-    Term.(const run $ n_arg 4 $ seed_arg $ cmds_arg $ crashes_arg)
+    Term.(ret (const run $ n_arg 4 $ seed_arg $ cmds_arg $ crashes_arg))
 
 (* --- kv: the sharded service's latency harness --- *)
 
@@ -284,24 +313,38 @@ let kv_cmd =
            ~doc:"Open-loop client population size. Must be positive.")
   in
   let ops_arg =
-    Arg.(value & opt int 400 & info [ "ops" ] ~docv:"K"
-           ~doc:"Total requests injected.")
+    Arg.(value & opt nat 400 & info [ "ops" ] ~docv:"K"
+           ~doc:"Total requests injected. Must be non-negative.")
   in
   let theta_arg =
-    Arg.(value & opt float 0.9 & info [ "theta" ] ~docv:"T"
-           ~doc:"Zipf skew of the key popularity distribution (0 = uniform).")
+    Arg.(value
+         & opt
+             (float_conv "a finite non-negative number" (fun v ->
+                  v >= 0.0 && Float.is_finite v))
+             0.9
+         & info [ "theta" ] ~docv:"T"
+             ~doc:"Zipf skew of the key popularity distribution (0 = \
+                   uniform). Must be non-negative.")
   in
   let keys_arg =
     Arg.(value & opt pos_int 128 & info [ "keys" ] ~docv:"K"
            ~doc:"Key-space size. Must be positive.")
   in
   let gap_arg =
-    Arg.(value & opt float 40.0 & info [ "gap" ] ~docv:"G"
-           ~doc:"Mean inter-arrival gap in engine ticks (Poisson arrivals).")
+    Arg.(value
+         & opt
+             (float_conv "a finite positive number" (fun v ->
+                  v > 0.0 && Float.is_finite v))
+             40.0
+         & info [ "gap" ] ~docv:"G"
+             ~doc:"Mean inter-arrival gap in engine ticks (Poisson \
+                   arrivals). Must be positive.")
   in
   let reads_arg =
-    Arg.(value & opt float 0.8 & info [ "reads" ] ~docv:"F"
-           ~doc:"Fraction of requests that are gets.")
+    Arg.(value
+         & opt (float_conv "a fraction in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)) 0.8
+         & info [ "reads" ] ~docv:"F"
+             ~doc:"Fraction of requests that are gets, in [0, 1].")
   in
   let max_steps_arg =
     Arg.(value & opt int 600_000 & info [ "max-steps" ] ~docv:"S"
@@ -392,36 +435,38 @@ let kv_cmd =
 let election_cmd =
   let variant_arg = variant_arg ~doc:"reliable | lossy." in
   let drop_arg =
-    Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
-           ~doc:"Drop probability for the lossy variant.")
+    Arg.(value & opt drop_prob 0.3 & info [ "drop" ] ~docv:"P"
+           ~doc:"Drop probability for the lossy variant, in [0, 1).")
   in
   let run variant drop n seed crashes =
+    with_crashes ~n crashes @@ fun () ->
     let variant = omega_variant ~drop variant in
-    let timely =
-      (* ensure at least one never-crashed process is timely *)
-      let crashed_pids = List.map fst crashes in
-      let candidate =
-        List.find (fun p -> not (List.mem p crashed_pids)) (List.init n Fun.id)
-      in
-      [ (0, 4); (candidate, 4) ]
-    in
-    let o = Omega.run ~seed ~timely ~crashes ~variant ~n () in
-    Format.printf "Ω holds: %b  agreed leader: %s  converged at step %d@."
-      (Omega.holds o)
-      (Mm_bench.Table.fmt_opt_int o.Omega.agreed_leader)
-      o.Omega.last_change_step;
-    Format.printf "leadership changes: %d  steady-state messages: %d@."
-      o.Omega.total_changes o.Omega.window_net.Net.sent;
-    Array.iteri
-      (fun i c ->
-        Format.printf "  p%d%s window mem: %a@." i
-          (if o.Omega.crashed.(i) then " (crashed)" else "")
-          Mem.pp_counters c)
-      o.Omega.window_mem
+    (* Ω needs a timely correct process: make a never-crashed one timely. *)
+    let crashed_pids = List.map fst crashes in
+    match
+      List.find_opt (fun p -> not (List.mem p crashed_pids)) (List.init n Fun.id)
+    with
+    | None -> `Error (false, "every process is crashed; election needs a correct one")
+    | Some candidate ->
+      let timely = [ (0, 4); (candidate, 4) ] in
+      let o = Omega.run ~seed ~timely ~crashes ~variant ~n () in
+      Format.printf "Ω holds: %b  agreed leader: %s  converged at step %d@."
+        (Omega.holds o)
+        (Mm_bench.Table.fmt_opt_int o.Omega.agreed_leader)
+        o.Omega.last_change_step;
+      Format.printf "leadership changes: %d  steady-state messages: %d@."
+        o.Omega.total_changes o.Omega.window_net.Net.sent;
+      Array.iteri
+        (fun i c ->
+          Format.printf "  p%d%s window mem: %a@." i
+            (if o.Omega.crashed.(i) then " (crashed)" else "")
+            Mem.pp_counters c)
+        o.Omega.window_mem;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "election" ~doc:"Run eventual leader election (Figures 3-5).")
-    Term.(const run $ variant_arg $ drop_arg $ n_arg 4 $ seed_arg $ crashes_arg)
+    Term.(ret (const run $ variant_arg $ drop_arg $ n_arg 4 $ seed_arg $ crashes_arg))
 
 (* --- mutex --- *)
 
@@ -496,7 +541,7 @@ let check_cmd =
                  e.g. 200 for hbo, 50 for omega). Must be positive.")
   in
   let max_crashes_arg =
-    Arg.(value & opt (some int) None & info [ "crashes" ] ~docv:"F"
+    Arg.(value & opt (some nat) None & info [ "crashes" ] ~docv:"F"
            ~doc:"Crash budget per trial. Default: the Thm 4.3 bound of the \
                  graph for hbo (sweeps stay inside the tolerance envelope; \
                  raise it to hunt for stalls), n-2 for omega, n-1 for \
@@ -528,8 +573,9 @@ let check_cmd =
     variant_arg ~doc:"Omega notification mechanism: reliable | lossy."
   in
   let drop_arg =
-    Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
-           ~doc:"Max drop probability swept for omega's lossy variant.")
+    Arg.(value & opt drop_prob 0.3 & info [ "drop" ] ~docv:"P"
+           ~doc:"Max drop probability swept for omega's lossy variant, in \
+                 [0, 1).")
   in
   let expect_stall_arg =
     Arg.(value & flag & info [ "expect-stall" ]
@@ -553,8 +599,9 @@ let check_cmd =
                  drawn per trial).")
   in
   let commands_arg =
-    Arg.(value & opt (some int) None & info [ "commands" ] ~docv:"K"
-           ~doc:"Smr: commands per process (default: drawn per trial).")
+    Arg.(value & opt (some nat) None & info [ "commands" ] ~docv:"K"
+           ~doc:"Smr: commands per process (default: drawn per trial). \
+                 Must be non-negative.")
   in
   let nemesis_arg =
     Arg.(value & flag & info [ "nemesis" ]
@@ -666,7 +713,9 @@ let check_cmd =
          ~doc:"on command line errors: an unknown option, scenario, \
                $(b,--variant) or $(b,-g) family; a non-positive $(b,--budget), \
                $(b,--jobs), $(b,MM_JOBS), $(b,-n), $(b,--settle) \
-               or $(b,--chunk); or an $(b,-n) the graph family cannot \
+               or $(b,--chunk); a negative $(b,--crashes) or \
+               $(b,--commands); a $(b,--drop) outside [0, 1); or an \
+               $(b,-n) the graph family cannot \
                be built at (e.g. an odd $(b,-n) with $(b,-g disjoint)). \
                A one-line message on standard error names the bad value."
     :: List.filter

@@ -1,13 +1,1 @@
 type payload = ..
-
-type t = {
-  src : Mm_core.Id.t;
-  dst : Mm_core.Id.t;
-  payload : payload;
-  sent_at : int;
-  uid : int;
-}
-
-let pp fmt m =
-  Format.fprintf fmt "msg#%d %a->%a @%d" m.uid Mm_core.Id.pp m.src
-    Mm_core.Id.pp m.dst m.sent_at

@@ -5,13 +5,3 @@
     from several protocols at once while keeping pattern matching typed. *)
 
 type payload = ..
-
-type t = {
-  src : Mm_core.Id.t;
-  dst : Mm_core.Id.t;
-  payload : payload;
-  sent_at : int;  (** global step at which [send] ran *)
-  uid : int;      (** unique per network, for Integrity accounting *)
-}
-
-val pp : Format.formatter -> t -> unit

@@ -18,9 +18,14 @@ type stats = {
   in_flight : int;
 }
 
+(* One accepted message on its link (the link fixes the destination):
+   its sender, payload, due step, and a per-network uid that grows with
+   send order and breaks ties between equal dues. *)
 type in_flight = {
-  msg : Message.t;
+  src : Id.t;
+  payload : Message.payload;
   due : int;
+  uid : int;
 }
 
 type event =
@@ -42,26 +47,51 @@ type link = {
   mutable l_delay : int;
 }
 
+(* Sentinel for "no record": reads as an idle link (empty queue, wake
+   [no_wake], no degradation) and is never mutated — callers that might
+   write first materialize a real record.  It also fills the empty slots
+   of the sparse table, so a miss is an ordinary load, not an option or
+   an exception. *)
+let null_link =
+  { l_idx = -1; l_queue = []; l_wake = no_wake; l_drop = 0.0; l_delay = 0 }
+
+(* The sparse index: an int-keyed open-addressing table with linear
+   probing, parallel [keys]/[vals] arrays of power-of-two capacity, and
+   Fibonacci hashing ([key * golden], top [bits] bits) so the runs of
+   consecutive link indices one broadcast touches spread over the table.
+   An empty slot holds [empty_key] and [null_link].  Deletion shifts the
+   rest of the probe run back, so there are no tombstones and a lookup
+   stops at the first empty slot.  Load stays in (1/8, 1/2] above the
+   minimum capacity: the table doubles past half full and halves below an
+   eighth, so it tracks links in use.  Records of recycled links wait in
+   the stack [pool] (a quarter of the capacity) for reuse, so a busy
+   table stops allocating them. *)
+type sparse = {
+  mutable keys : int array;
+  mutable vals : link array;
+  mutable shift : int;  (* 63 - log2 capacity *)
+  mutable count : int;
+  mutable pool : link array;
+  mutable pool_len : int;
+}
+
 (* How link records are found by index:
 
    - [Dense]: one pre-allocated record per directed pair.  O(n²) words at
      create, O(1) zero-allocation lookup — right for the small-n sweep
      hot path.
-   - [Sparse]: links materialize on first use and are recycled (returned
-     to [pool]) once idle, so storage is O(links in use), not O(n²) — at
-     n=1000 a dense network is ~5M words before a single message moves.
-     Thm 5.1's eventual silence means steady-state "in use" is small.
+   - [Sparse]: links materialize on first use and are recycled once
+     idle, so storage is O(links in use), not O(n²) — at n=1000 a dense
+     network is ~5M words before a single message moves.  Thm 5.1's
+     eventual silence means steady-state "in use" is small.
 
    A recycled link's stale heap entries are skipped on pop exactly like a
    dense link's superseded wake-ups (missing from the table reads as
-   [no_wake] + empty queue, which is precisely the recycled state), so
-   delivery order is identical between the two indexings. *)
+   [null_link], which is precisely the recycled state), so delivery order
+   is identical between the two indexings. *)
 type index =
   | Dense of link array
-  | Sparse of {
-      tbl : (int, link) Hashtbl.t;
-      mutable pool : link list;
-    }
+  | Sparse of sparse
 
 (* Delivery is driven by a global min-heap of (due, link) wake-ups, so a
    tick costs O(messages actually due) instead of O(active links +
@@ -83,7 +113,8 @@ type t = {
   mutable rng : Rng.t;
   index : index;
   heap : Minheap.t;
-  mailboxes : (Id.t * Message.payload) Queue.t array;
+  (* Each mailbox is newest first; [drain] reverses it. *)
+  mailboxes : (Id.t * Message.payload) list array;
   (* Partition epochs: each [partition] call contributes one group-of
      array; a link is held iff some epoch separates its endpoints.  This
      keeps partitions O(n) to impose instead of an O(n²) held-flag
@@ -113,6 +144,119 @@ let validate_kind = function
 
 let fresh_link idx =
   { l_idx = idx; l_queue = []; l_wake = no_wake; l_drop = 0.0; l_delay = 0 }
+
+(* --- sparse table --- *)
+
+let empty_key = -1
+let min_bits = 6
+let golden = 0x4F1BBCDCBFA53E0B (* 2^63 / phi, odd; reads as a negative int *)
+
+let home shift k = (k * golden) lsr shift
+
+let sparse_clear s =
+  let cap = 1 lsl min_bits in
+  s.keys <- Array.make cap empty_key;
+  s.vals <- Array.make cap null_link;
+  s.shift <- 63 - min_bits;
+  s.count <- 0;
+  s.pool <- Array.make (cap / 4) null_link;
+  s.pool_len <- 0
+
+let sparse_create () =
+  let s =
+    { keys = [||]; vals = [||]; shift = 0; count = 0; pool = [||]; pool_len = 0 }
+  in
+  sparse_clear s;
+  s
+
+(* The slot holding key [k], or the empty slot that ends its probe run.
+   A top-level loop: a local closure over the table would allocate on
+   every lookup. *)
+let rec probe keys mask k i =
+  let key = Array.unsafe_get keys i in
+  if key = k || key = empty_key then i else probe keys mask k ((i + 1) land mask)
+
+let find_slot s k = probe s.keys (Array.length s.keys - 1) k (home s.shift k)
+
+(* Rehash every entry into a table of [2^bits] slots, with a pool of a
+   quarter of the new capacity that keeps as many spare records as fit. *)
+let rehash s bits =
+  let keys = s.keys and vals = s.vals and pool = s.pool in
+  let cap = 1 lsl bits in
+  s.keys <- Array.make cap empty_key;
+  s.vals <- Array.make cap null_link;
+  s.shift <- 63 - bits;
+  Array.iteri
+    (fun i k ->
+      if k <> empty_key then begin
+        let j = find_slot s k in
+        s.keys.(j) <- k;
+        s.vals.(j) <- vals.(i)
+      end)
+    keys;
+  s.pool <- Array.make (cap / 4) null_link;
+  s.pool_len <- min s.pool_len (cap / 4);
+  Array.blit pool 0 s.pool 0 s.pool_len
+
+let bits_of s = 63 - s.shift
+
+(* Materialize key [k] in the empty slot [slot] that [find_slot] just
+   returned for it. *)
+let sparse_add s slot k =
+  let slot =
+    if 2 * (s.count + 1) <= Array.length s.keys then slot
+    else begin
+      rehash s (bits_of s + 1);
+      find_slot s k
+    end
+  in
+  let l =
+    if s.pool_len = 0 then fresh_link k
+    else begin
+      let top = s.pool_len - 1 in
+      let l = Array.unsafe_get s.pool top in
+      Array.unsafe_set s.pool top null_link;
+      s.pool_len <- top;
+      l.l_idx <- k;
+      l
+    end
+  in
+  Array.unsafe_set s.keys slot k;
+  Array.unsafe_set s.vals slot l;
+  s.count <- s.count + 1;
+  l
+
+(* Backward-shift deletion: walk the probe run after the [hole] and move
+   back every entry whose home does not lie cyclically in (hole, j], so
+   each remaining key stays reachable from its home without tombstones. *)
+let rec shift_back keys vals mask shift hole j =
+  let k = Array.unsafe_get keys j in
+  if k = empty_key then begin
+    Array.unsafe_set keys hole empty_key;
+    Array.unsafe_set vals hole null_link
+  end
+  else
+    let next = (j + 1) land mask in
+    if (j - home shift k) land mask >= (j - hole) land mask then begin
+      Array.unsafe_set keys hole k;
+      Array.unsafe_set vals hole (Array.unsafe_get vals j);
+      shift_back keys vals mask shift j next
+    end
+    else shift_back keys vals mask shift hole next
+
+let sparse_remove s l =
+  let mask = Array.length s.keys - 1 in
+  let slot = find_slot s l.l_idx in
+  shift_back s.keys s.vals mask s.shift slot ((slot + 1) land mask);
+  s.count <- s.count - 1;
+  if s.pool_len < Array.length s.pool then begin
+    Array.unsafe_set s.pool s.pool_len l;
+    s.pool_len <- s.pool_len + 1
+  end;
+  if bits_of s > min_bits && 8 * s.count < mask + 1 then
+    rehash s (bits_of s - 1)
+
+(* --- creation --- *)
 
 (* Dense indexing is the small-n default (sweeps replay the same few
    links millions of times; array indexing beats hashing).  Above the
@@ -147,9 +291,9 @@ let create ~rng ~n ~kind ?(delay = Uniform (1, 4)) ?index () =
     index =
       (match mode with
       | `Dense -> Dense (Array.init slots fresh_link)
-      | `Sparse -> Sparse { tbl = Hashtbl.create 256; pool = [] });
+      | `Sparse -> Sparse (sparse_create ()));
     heap = Minheap.create ();
-    mailboxes = Array.init n (fun _ -> Queue.create ());
+    mailboxes = Array.make n [];
     parts = [];
     block_fn = None;
     observer = None;
@@ -180,11 +324,9 @@ let reset t ~rng ~kind ?(delay = Uniform (1, 4)) () =
         l.l_drop <- 0.0;
         l.l_delay <- 0)
       links
-  | Sparse s ->
-    Hashtbl.reset s.tbl;
-    s.pool <- []);
+  | Sparse s -> sparse_clear s);
   Minheap.clear t.heap;
-  Array.iter Queue.clear t.mailboxes;
+  Array.fill t.mailboxes 0 t.n [];
   t.parts <- [];
   t.block_fn <- None;
   t.observer <- None;
@@ -198,43 +340,40 @@ let order t = t.n
 let kind t = t.net_kind
 let indexing t = match t.index with Dense _ -> `Dense | Sparse _ -> `Sparse
 
-let notify t ev =
+(* Events are built only when an observer listens, so an unobserved
+   network allocates nothing per send or delivery for them. *)
+let notify_deliver t ~src ~dst =
   match t.observer with
   | None -> ()
-  | Some f -> f ev
+  | Some f -> f (Deliver { src; dst })
+
+let notify_drop t ~src ~dst =
+  match t.observer with
+  | None -> ()
+  | Some f -> f (Drop { src; dst })
 
 (* --- link index --- *)
 
-(* Sentinel for "no record": reads as an idle link (empty queue, wake
-   [no_wake], no degradation) and is never mutated — callers that might
-   write first materialize a real record with [get_link].  Returning it
-   instead of an option keeps the per-send / per-pop lookups
-   allocation-free on the hot path. *)
-let null_link =
-  { l_idx = -1; l_queue = []; l_wake = no_wake; l_drop = 0.0; l_delay = 0 }
-
-let peek_link t idx =
+(* Where link [idx] lives: its dense index, or the sparse slot holding
+   it (or the empty slot it would take). *)
+let slot_of t idx =
   match t.index with
-  | Dense links -> Array.unsafe_get links idx
-  | Sparse s -> ( try Hashtbl.find s.tbl idx with Not_found -> null_link)
+  | Dense _ -> idx
+  | Sparse s -> find_slot s idx
 
-(* Look up link [idx], materializing it in sparse mode. *)
-let get_link t idx =
+(* The record in [slot]; [null_link] for an empty sparse slot. *)
+let link_at t slot =
   match t.index with
-  | Dense links -> links.(idx)
-  | Sparse s -> (
-    try Hashtbl.find s.tbl idx
-    with Not_found ->
-      let l =
-        match s.pool with
-        | l :: rest ->
-          s.pool <- rest;
-          l.l_idx <- idx;
-          l
-        | [] -> fresh_link idx
-      in
-      Hashtbl.add s.tbl idx l;
-      l)
+  | Dense links -> Array.unsafe_get links slot
+  | Sparse s -> Array.unsafe_get s.vals slot
+
+(* The record of link [idx] in [slot], materializing it in sparse mode. *)
+let claim t slot idx =
+  match t.index with
+  | Dense links -> Array.unsafe_get links slot
+  | Sparse s ->
+    let l = Array.unsafe_get s.vals slot in
+    if l != null_link then l else sparse_add s slot idx
 
 (* An idle link (nothing queued, no wake-up armed, no degradation) holds
    no information: drop it from the sparse table so live storage tracks
@@ -244,10 +383,7 @@ let maybe_recycle t l =
   | Dense _ -> ()
   | Sparse s ->
     if l.l_queue == [] && l.l_wake = no_wake && l.l_drop = 0.0 && l.l_delay = 0
-    then begin
-      Hashtbl.remove s.tbl l.l_idx;
-      s.pool <- l :: s.pool
-    end
+    then sparse_remove s l
 
 (* Arm the wake-up for link [l] at [due] unless an earlier one is
    already pending. *)
@@ -275,9 +411,13 @@ let draw_delay t =
    partition + sort with near-O(1) work per send. *)
 let rec insert_by_due e = function
   | [] -> [ e ]
-  | x :: tl when x.due < e.due || (x.due = e.due && x.msg.Message.uid < e.msg.Message.uid)
-    -> x :: insert_by_due e tl
+  | x :: tl when x.due < e.due || (x.due = e.due && x.uid < e.uid) ->
+    x :: insert_by_due e tl
   | rest -> e :: rest
+
+let deliver t ~src ~di payload =
+  t.mailboxes.(di) <- (src, payload) :: t.mailboxes.(di);
+  t.delivered <- t.delivered + 1
 
 let send t ~now ~src ~dst payload =
   let si = Id.to_int src and di = Id.to_int dst in
@@ -285,17 +425,17 @@ let send t ~now ~src ~dst payload =
   t.sent <- t.sent + 1;
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
-  if Id.equal src dst then begin
+  if si = di then begin
     (* Local delivery: a process handing itself a message involves no
        link, hence no loss and no delay. *)
-    Queue.add (src, payload) t.mailboxes.(si);
-    t.delivered <- t.delivered + 1;
-    notify t (Deliver { src; dst })
+    deliver t ~src ~di payload;
+    notify_deliver t ~src ~dst
   end
   else begin
     let idx = (si * t.n) + di in
-    (* Peek only: a dropped send must not materialize a sparse link. *)
-    let existing = peek_link t idx in
+    (* One lookup; a dropped send must not materialize a sparse link. *)
+    let slot = slot_of t idx in
+    let existing = link_at t slot in
     let extra_drop = existing.l_drop in
     let drop =
       (match t.net_kind with
@@ -305,13 +445,12 @@ let send t ~now ~src ~dst payload =
     in
     if drop then begin
       t.dropped <- t.dropped + 1;
-      notify t (Drop { src; dst })
+      notify_drop t ~src ~dst
     end
     else begin
-      let l = if existing != null_link then existing else get_link t idx in
-      let msg = { Message.src; dst; payload; sent_at = now; uid } in
+      let l = claim t slot idx in
       let due = now + draw_delay t + l.l_delay in
-      l.l_queue <- insert_by_due { msg; due } l.l_queue;
+      l.l_queue <- insert_by_due { src; payload; due; uid } l.l_queue;
       t.in_flight_count <- t.in_flight_count + 1;
       arm t l ~due
     end
@@ -319,29 +458,21 @@ let send t ~now ~src ~dst payload =
 
 (* Deliver the due prefix of link [l]'s queue into the destination
    mailbox, in (due, uid) order. *)
-let deliver_due t ~now ~l ~di =
-  let rec go = function
-    | e :: tl when e.due <= now ->
-      Queue.add (e.msg.Message.src, e.msg.Message.payload) t.mailboxes.(di);
-      t.delivered <- t.delivered + 1;
-      t.in_flight_count <- t.in_flight_count - 1;
-      notify t (Deliver { src = e.msg.Message.src; dst = e.msg.Message.dst });
-      go tl
-    | rest -> rest
-  in
-  l.l_queue <- go l.l_queue;
-  (* Re-arm for the link's next pending message, if any. *)
-  match l.l_queue with
-  | [] -> maybe_recycle t l
-  | e :: _ -> arm t l ~due:e.due
+let rec deliver_due t ~now ~dst ~di = function
+  | e :: tl when e.due <= now ->
+    deliver t ~src:e.src ~di e.payload;
+    t.in_flight_count <- t.in_flight_count - 1;
+    notify_deliver t ~src:e.src ~dst;
+    deliver_due t ~now ~dst ~di tl
+  | rest -> rest
 
 (* A link is held iff some partition epoch separates its endpoints. *)
-let held t si di =
-  List.exists
-    (fun group_of ->
-      group_of.(si) >= 0 && group_of.(di) >= 0
-      && group_of.(si) <> group_of.(di))
-    t.parts
+let rec held parts si di =
+  match parts with
+  | [] -> false
+  | group_of :: rest ->
+    (group_of.(si) >= 0 && group_of.(di) >= 0 && group_of.(si) <> group_of.(di))
+    || held rest si di
 
 let tick t ~now =
   let slots = t.slots in
@@ -354,12 +485,12 @@ let tick t ~now =
        that already serviced the link, or naming a recycled link, whose
        sentinel wake [no_wake] can never equal a packable due) are
        skipped. *)
-    let l = peek_link t idx in
+    let l = link_at t (slot_of t idx) in
     if l.l_wake = due then begin
       l.l_wake <- no_wake;
       let si = idx / t.n and di = idx mod t.n in
       let blocked =
-        held t si di
+        held t.parts si di
         ||
         match t.block_fn with
         | None -> false
@@ -368,19 +499,25 @@ let tick t ~now =
       if blocked then
         (* Held messages stay queued (No-loss); poll again next tick. *)
         arm t l ~due:(now + 1)
-      else deliver_due t ~now ~l ~di
+      else begin
+        l.l_queue <- deliver_due t ~now ~dst:(Id.of_int di) ~di l.l_queue;
+        (* Re-arm for the link's next pending message, if any. *)
+        match l.l_queue with
+        | [] -> maybe_recycle t l
+        | e :: _ -> arm t l ~due:e.due
+      end
     end
   done
 
 let drain t p =
-  let box = t.mailboxes.(Id.to_int p) in
-  let acc = ref [] in
-  while not (Queue.is_empty box) do
-    acc := Queue.pop box :: !acc
-  done;
-  List.rev !acc
+  let i = Id.to_int p in
+  match t.mailboxes.(i) with
+  | [] -> []
+  | box ->
+    t.mailboxes.(i) <- [];
+    List.rev box
 
-let peek_count t p = Queue.length t.mailboxes.(Id.to_int p)
+let peek_count t p = List.length t.mailboxes.(Id.to_int p)
 let set_block_fn t f = t.block_fn <- Some f
 
 (* --- structured adversary: partitions and link degradation --- *)
@@ -413,7 +550,8 @@ let degrade t ~src ~dst ?(drop = 0.0) ?(extra_delay = 0) () =
   if drop < 0.0 || drop >= 1.0 then
     invalid_arg "Network.degrade: drop probability must be in [0, 1)";
   if extra_delay < 0 then invalid_arg "Network.degrade: negative extra delay";
-  let l = get_link t ((si * t.n) + di) in
+  let idx = (si * t.n) + di in
+  let l = claim t (slot_of t idx) idx in
   l.l_drop <- drop;
   l.l_delay <- extra_delay
 
@@ -427,14 +565,16 @@ let restore t =
       links
   | Sparse s ->
     (* Clearing a degradation can leave a link idle; recycle those, but
-       collect first — the table must not shrink mid-iteration. *)
+       collect first — removal moves entries within the table. *)
     let idle = ref [] in
-    Hashtbl.iter
-      (fun _ l ->
-        l.l_drop <- 0.0;
-        l.l_delay <- 0;
-        if l.l_queue == [] && l.l_wake = no_wake then idle := l :: !idle)
-      s.tbl;
+    Array.iter
+      (fun l ->
+        if l != null_link then begin
+          l.l_drop <- 0.0;
+          l.l_delay <- 0;
+          if l.l_queue == [] && l.l_wake = no_wake then idle := l :: !idle
+        end)
+      s.vals;
     List.iter (fun l -> maybe_recycle t l) !idle
 
 let set_observer t f = t.observer <- Some f

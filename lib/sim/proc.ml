@@ -15,7 +15,9 @@ let self () = Effect.perform Self
 let send dst payload = Effect.perform (Send (dst, payload))
 
 let send_all ~n payload =
-  List.iter (fun q -> send q payload) (Mm_core.Id.all n)
+  for q = 0 to n - 1 do
+    send (Mm_core.Id.of_int q) payload
+  done
 
 let receive () = Effect.perform Receive
 let read r = Effect.perform (Read_reg r)

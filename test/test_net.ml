@@ -215,6 +215,119 @@ let prop_reliable_counts =
       let s = Net.stats net in
       s.Net.sent = s.Net.delivered + s.Net.in_flight && s.Net.dropped = 0)
 
+(* --- dense vs sparse under stress ----------------------------------- *)
+
+(* A seeded random workload at n = 40 (1,560 directed links): a dozen
+   sends a step under a long fixed delay, so hundreds of links are live
+   at once and the sparse table grows several times past its initial
+   capacity, then shrinks again as they drain; partitions and heals,
+   degrades and restores, and fair loss on odd seeds.  Returns every
+   observer event and every [drain] result in order, the final stats,
+   the most messages in flight at once, and the network's reachable
+   words when empty and again once all traffic is gone (measured with a
+   recorder-free observer, so the log is not counted). *)
+let stress idx ~seed =
+  let n = 40 in
+  let kind = if seed mod 2 = 1 then Net.Fair_lossy 0.15 else Net.Reliable in
+  let net =
+    Net.create ~rng:(Rng.create seed) ~n ~kind ~delay:(Net.Fixed 40) ~index:idx ()
+  in
+  let quiet _ = () in
+  Net.set_observer net quiet;
+  let empty_words = Obj.reachable_words (Obj.repr net) in
+  let log = ref [] in
+  Net.set_observer net (function
+    | Net.Deliver { src; dst } ->
+      log := Printf.sprintf "deliver %d->%d" (Id.to_int src) (Id.to_int dst) :: !log
+    | Net.Drop { src; dst } ->
+      log := Printf.sprintf "drop %d->%d" (Id.to_int src) (Id.to_int dst) :: !log);
+  let drain p =
+    let got = Net.drain net (id p) in
+    if got <> [] then
+      log :=
+        Printf.sprintf "drain %d: %s" p
+          (String.concat " "
+             (List.map
+                (function
+                  | src, Num i -> Printf.sprintf "%d:%d" (Id.to_int src) i
+                  | _ -> "?")
+                got))
+        :: !log
+  in
+  let r = Rng.create (1000 + seed) in
+  let peak = ref 0 in
+  let msg = ref 0 in
+  for now = 0 to 799 do
+    if now < 600 then begin
+      for _ = 1 to 12 do
+        let s = Rng.int r n in
+        (* One send in 40 is a self-send. *)
+        let d = if Rng.int r 40 = 0 then s else (s + 1 + Rng.int r (n - 1)) mod n in
+        incr msg;
+        Net.send net ~now ~src:(id s) ~dst:(id d) (Num !msg)
+      done;
+      if Rng.int r 50 = 0 then begin
+        let groups = 2 + Rng.int r 2 in
+        let members = Array.make groups [] in
+        for p = 0 to n - 1 do
+          let g = Rng.int r (groups + 1) in
+          if g < groups then members.(g) <- id p :: members.(g)
+        done;
+        Net.partition net (Array.to_list members)
+      end;
+      if Rng.int r 30 = 0 then Net.heal net;
+      if Rng.int r 20 = 0 then begin
+        let s = Rng.int r n in
+        Net.degrade net ~src:(id s) ~dst:(id ((s + 1 + Rng.int r (n - 1)) mod n))
+          ~drop:(Rng.float r *. 0.5) ~extra_delay:(Rng.int r 20) ()
+      end;
+      if Rng.int r 100 = 0 then Net.restore net
+    end
+    else if now = 600 then begin
+      Net.heal net;
+      Net.restore net
+    end;
+    Net.tick net ~now;
+    peak := max !peak (Net.stats net).Net.in_flight;
+    for _ = 1 to 5 do
+      drain (Rng.int r n)
+    done
+  done;
+  for p = 0 to n - 1 do
+    drain p
+  done;
+  let stats = Net.stats net in
+  Net.set_observer net quiet;
+  (List.rev !log, stats, !peak, empty_words, Obj.reachable_words (Obj.repr net))
+
+let test_dense_sparse_stress () =
+  List.iter
+    (fun seed ->
+      let dlog, dstats, dpeak, dempty, didle = stress `Dense ~seed in
+      let slog, sstats, speak, sempty, sidle = stress `Sparse ~seed in
+      let ctx what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check bool) (ctx "hundreds of messages in flight") true (dpeak >= 300);
+      Alcotest.(check int) (ctx "same peak") dpeak speak;
+      Alcotest.(check int) (ctx "events + drains") (List.length dlog) (List.length slog);
+      List.iteri
+        (fun i (d, s) ->
+          if d <> s then
+            Alcotest.failf "%s: entry %d differs: dense %S, sparse %S" (ctx "log") i d s)
+        (List.combine dlog slog);
+      Alcotest.(check bool) (ctx "same stats") true (dstats = sstats);
+      Alcotest.(check int) (ctx "all delivered") 0 sstats.Net.in_flight;
+      (* Once every link is idle, the sparse store is back within a small
+         constant of its empty size: only the heap's grown capacity, which
+         the dense run shares, may remain. *)
+      let grown = sidle - sempty and heap_growth = didle - dempty in
+      Alcotest.(check bool)
+        (ctx
+           (Printf.sprintf "idle sparse net grew %d words, dense %d" grown
+              heap_growth))
+        true
+        (grown <= heap_growth + 256))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "mm_net"
     [
@@ -240,5 +353,10 @@ let () =
           Alcotest.test_case "degrade extra delay" `Quick
             test_degrade_extra_delay;
           QCheck_alcotest.to_alcotest prop_reliable_counts;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "dense = sparse under stress" `Quick
+            test_dense_sparse_stress;
         ] );
     ]
