@@ -347,8 +347,8 @@ let kv_cmd =
              ~doc:"Fraction of requests that are gets, in [0, 1].")
   in
   let max_steps_arg =
-    Arg.(value & opt int 600_000 & info [ "max-steps" ] ~docv:"S"
-           ~doc:"Step budget.")
+    Arg.(value & opt pos_int 600_000 & info [ "max-steps" ] ~docv:"S"
+           ~doc:"Step budget (positive).")
   in
   let no_local_reads_arg =
     Arg.(value & flag & info [ "no-local-reads" ]
@@ -476,8 +476,8 @@ let mutex_cmd =
            ~doc:"bakery | local | mm | all.")
   in
   let entries_arg =
-    Arg.(value & opt int 5 & info [ "entries" ] ~docv:"K"
-           ~doc:"Critical-section entries per process.")
+    Arg.(value & opt nat 5 & info [ "entries" ] ~docv:"K"
+           ~doc:"Critical-section entries per process (non-negative).")
   in
   let print_mutex name (o : Mutex.outcome) =
     Format.printf
@@ -566,8 +566,8 @@ let check_cmd =
          & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
   let max_steps_arg =
-    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"S"
-           ~doc:"Step budget per trial.")
+    Arg.(value & opt (some pos_int) None & info [ "max-steps" ] ~docv:"S"
+           ~doc:"Step budget per trial (positive).")
   in
   let variant_arg =
     variant_arg ~doc:"Omega notification mechanism: reliable | lossy."
@@ -594,9 +594,9 @@ let check_cmd =
                  counterexample reports.")
   in
   let entries_arg =
-    Arg.(value & opt (some int) None & info [ "entries" ] ~docv:"K"
+    Arg.(value & opt (some nat) None & info [ "entries" ] ~docv:"K"
            ~doc:"Mutex: critical-section entries per process (default: \
-                 drawn per trial).")
+                 drawn per trial; non-negative).")
   in
   let commands_arg =
     Arg.(value & opt (some nat) None & info [ "commands" ] ~docv:"K"

@@ -115,6 +115,10 @@ type t = {
   heap : Minheap.t;
   (* Each mailbox is newest first; [drain] reverses it. *)
   mailboxes : (Id.t * Message.payload) list array;
+  (* '\001' for a closed mailbox: its owner has crashed or finished, so
+     nothing can ever read what is delivered there.  Deliveries to it are
+     counted but not stored. *)
+  closed : Bytes.t;
   (* Partition epochs: each [partition] call contributes one group-of
      array; a link is held iff some epoch separates its endpoints.  This
      keeps partitions O(n) to impose instead of an O(n²) held-flag
@@ -294,6 +298,7 @@ let create ~rng ~n ~kind ?(delay = Uniform (1, 4)) ?index () =
       | `Sparse -> Sparse (sparse_create ()));
     heap = Minheap.create ();
     mailboxes = Array.make n [];
+    closed = Bytes.make n '\000';
     parts = [];
     block_fn = None;
     observer = None;
@@ -327,6 +332,7 @@ let reset t ~rng ~kind ?(delay = Uniform (1, 4)) () =
   | Sparse s -> sparse_clear s);
   Minheap.clear t.heap;
   Array.fill t.mailboxes 0 t.n [];
+  Bytes.fill t.closed 0 t.n '\000';
   t.parts <- [];
   t.block_fn <- None;
   t.observer <- None;
@@ -416,7 +422,8 @@ let rec insert_by_due e = function
   | rest -> e :: rest
 
 let deliver t ~src ~di payload =
-  t.mailboxes.(di) <- (src, payload) :: t.mailboxes.(di);
+  if Bytes.unsafe_get t.closed di = '\000' then
+    t.mailboxes.(di) <- (src, payload) :: t.mailboxes.(di);
   t.delivered <- t.delivered + 1
 
 let send t ~now ~src ~dst payload =
@@ -518,6 +525,14 @@ let drain t p =
     List.rev box
 
 let peek_count t p = List.length t.mailboxes.(Id.to_int p)
+
+let close_mailbox t p =
+  let i = Id.to_int p in
+  t.mailboxes.(i) <- [];
+  Bytes.set t.closed i '\001'
+
+let reopen_mailbox t p = Bytes.set t.closed (Id.to_int p) '\000'
+
 let set_block_fn t f = t.block_fn <- Some f
 
 (* --- structured adversary: partitions and link degradation --- *)

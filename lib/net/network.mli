@@ -70,10 +70,10 @@ val indexing : t -> [ `Dense | `Sparse ]
 (** [reset t ~rng ~kind ()] returns the network to the state
     [create ~rng ~n ~kind ?delay ()] would produce, reusing every
     internal array (queues, wake-ups, mailboxes, adversary state are
-    emptied; stats, uids, the observer and any block function are
-    cleared).  The link kind and delay policy may differ from the ones
-    the network was created with — sweeps vary them per trial.  Same
-    validation as [create]. *)
+    emptied and reopened; stats, uids, the observer and any block
+    function are cleared).  The link kind and delay policy may differ
+    from the ones the network was created with — sweeps vary them per
+    trial.  Same validation as [create]. *)
 val reset : t -> rng:Mm_rng.Rng.t -> kind:kind -> ?delay:delay -> unit -> unit
 
 val order : t -> int
@@ -94,6 +94,18 @@ val drain : t -> Mm_core.Id.t -> (Mm_core.Id.t * Message.payload) list
 
 (** [peek_count t p] is the current mailbox size of [p] (for tests). *)
 val peek_count : t -> Mm_core.Id.t -> int
+
+(** [close_mailbox t p] empties [p]'s mailbox and stops storing
+    deliveries to it, for a process that will never read it again
+    (crashed or finished).  A message delivered to a closed mailbox is
+    still delivered in every observable sense — it leaves its link, counts
+    in [delivered], drains [in_flight] and fires the observer's [Deliver]
+    — but is then discarded.  Mailboxes start open. *)
+val close_mailbox : t -> Mm_core.Id.t -> unit
+
+(** [reopen_mailbox t p] makes [p]'s mailbox store deliveries again (a
+    restarted process); it starts empty.  A no-op on an open mailbox. *)
+val reopen_mailbox : t -> Mm_core.Id.t -> unit
 
 (** [set_block_fn t f] installs an adversarial link filter: while
     [f ~now ~src ~dst] is true, messages on that link are held. *)

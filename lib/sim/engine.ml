@@ -568,6 +568,9 @@ let apply_crash t i =
     p.p_status <- Crashed;
     t.crashed_n <- t.crashed_n + 1;
     p.pending <- No_pending;
+    (* A crashed process takes no more steps, so nothing can read what
+       reaches it; a restart reopens an empty mailbox. *)
+    Network.close_mailbox t.net p.pid;
     Sched.note_crash t.sched ~pid:i;
     Mem.note_crash t.mem p.pid;
     record t p.pid Trace.Crashed
@@ -575,15 +578,16 @@ let apply_crash t i =
   t.crash_step.(i) <- None
 
 (* Crash-recovery: a due restart revives a crashed process with a fresh
-   fiber running its recovery closure.  All volatile state is gone — the
-   old fiber was discarded at crash time and the queued inbox is drained
-   away here — so the closure can only rebuild from what the Mem backend
-   preserved (plus messages delivered after the restart). *)
+   fiber running its recovery closure.  All volatile state is gone: the
+   old fiber was discarded and the mailbox closed at crash time, and the
+   mailbox reopens empty here.  So the closure can only rebuild from what
+   the Mem backend preserved (plus messages delivered after the
+   restart). *)
 let apply_restart t i =
   let p = t.procs.(i) in
   (match (p.p_status, p.recover) with
   | Crashed, Some main ->
-    ignore (Network.drain t.net p.pid : (Id.t * Mm_net.Message.payload) list);
+    Network.reopen_mailbox t.net p.pid;
     p.p_status <- Ready;
     t.crashed_n <- t.crashed_n - 1;
     t.ready_n <- t.ready_n + 1;
@@ -667,6 +671,8 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
       in
       (match fin with
       | Finished_fiber ->
+        (* Done is final (only a crashed process restarts). *)
+        Network.close_mailbox t.net p.pid;
         p.p_status <- Done;
         t.done_n <- t.done_n + 1;
         t.ready_n <- t.ready_n - 1;

@@ -94,7 +94,10 @@ val spawn : t -> ?recover:(unit -> unit) -> Mm_core.Id.t -> (unit -> unit) -> un
 
 (** [crash_at t pid step] schedules a crash: [pid] executes no step at or
     after global step [step].  [crash_at t pid 0] crashes it before it
-    takes any step.  Raises [Invalid_argument] on a negative step, if
+    takes any step.  From the crash on its mailbox is closed
+    ({!Mm_net.Network.close_mailbox}): messages delivered to it count in
+    the network stats but are discarded, as they are once a process has
+    finished.  Raises [Invalid_argument] on a negative step, if
     [pid] has already crashed, or if [pid] already has a pending crash
     scheduled at a {e different} step (re-scheduling the same step is a
     no-op).  {!crash_at}, {!crash_now} and {!restart_at} share this

@@ -40,18 +40,32 @@ module Slots = struct
     store : Mem.store;
     pids : Id.t array;
     prefix : string;
+    (* [others.(i)]: every member but [pids.(i)], built once so each of
+       that member's registers passes [Mem.alloc] the same physical list
+       and hits its per-owner sharing-set memo. *)
+    others : Id.t list array;
     blocks : (int, 'v block Mem.reg array) Hashtbl.t;
     decisions : (int, 'v option Mem.reg) Hashtbl.t;
   }
 
   let create store ~pids ~prefix =
     if Array.length pids = 0 then invalid_arg "Slots.create: empty group";
-    { store; pids; prefix; blocks = Hashtbl.create 32; decisions = Hashtbl.create 32 }
+    let others =
+      Array.map
+        (fun owner ->
+          Array.to_list pids |> List.filter (fun q -> not (Id.equal q owner)))
+        pids
+    in
+    {
+      store;
+      pids;
+      prefix;
+      others;
+      blocks = Hashtbl.create 32;
+      decisions = Hashtbl.create 32;
+    }
 
   let group_size t = Array.length t.pids
-
-  let others t owner =
-    Array.to_list t.pids |> List.filter (fun q -> not (Id.equal q owner))
 
   let blocks t s =
     match Hashtbl.find_opt t.blocks s with
@@ -59,10 +73,10 @@ module Slots = struct
     | None ->
       let a =
         Array.init (Array.length t.pids) (fun i ->
-            let owner = t.pids.(i) in
             Mem.alloc t.store
-              ~name:(Printf.sprintf "%sR[%d][%d]" t.prefix s i)
-              ~owner ~shared_with:(others t owner) empty_block)
+              ~name:
+                (t.prefix ^ "R[" ^ string_of_int s ^ "][" ^ string_of_int i ^ "]")
+              ~owner:t.pids.(i) ~shared_with:t.others.(i) empty_block)
       in
       Hashtbl.add t.blocks s a;
       a
@@ -71,11 +85,11 @@ module Slots = struct
     match Hashtbl.find_opt t.decisions s with
     | Some r -> r
     | None ->
-      let owner = t.pids.(s mod Array.length t.pids) in
+      let i = s mod Array.length t.pids in
       let r =
         Mem.alloc t.store
-          ~name:(Printf.sprintf "%sD[%d]" t.prefix s)
-          ~owner ~shared_with:(others t owner) None
+          ~name:(t.prefix ^ "D[" ^ string_of_int s ^ "]")
+          ~owner:t.pids.(i) ~shared_with:t.others.(i) None
       in
       Hashtbl.add t.decisions s r;
       r

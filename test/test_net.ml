@@ -203,6 +203,48 @@ let test_degrade_extra_delay () =
   Net.tick net ~now:12;
   Alcotest.(check int) "at base + extra" 1 (Net.peek_count net (id 1))
 
+(* A closed mailbox (its owner crashed or finished) still takes every
+   delivery in the counters and the observer — the message left its link —
+   but stores nothing; once reopened it starts empty and stores later
+   deliveries in order.  Both link indexings. *)
+let test_closed_mailbox index () =
+  let net =
+    Net.create ~rng:(Rng.create 5) ~n:3 ~kind:Net.Reliable ~delay:(Net.Fixed 2)
+      ~index ()
+  in
+  let delivered_to_1 = ref 0 in
+  Net.set_observer net (function
+    | Net.Deliver { dst; _ } when Id.to_int dst = 1 -> incr delivered_to_1
+    | Net.Deliver _ | Net.Drop _ -> ());
+  (* One message already in the mailbox, one in flight, at close time. *)
+  Net.send net ~now:0 ~src:(id 0) ~dst:(id 1) (Num 0);
+  Net.tick net ~now:2;
+  Net.send net ~now:2 ~src:(id 2) ~dst:(id 1) (Num 1);
+  Net.close_mailbox net (id 1);
+  Alcotest.(check int) "close empties" 0 (Net.peek_count net (id 1));
+  for i = 2 to 6 do
+    Net.send net ~now:3 ~src:(id 0) ~dst:(id 1) (Num i)
+  done;
+  for now = 3 to 6 do
+    Net.tick net ~now
+  done;
+  let s = Net.stats net in
+  Alcotest.(check int) "delivered counts every message" 7 s.Net.delivered;
+  Alcotest.(check int) "observer saw every delivery" 7 !delivered_to_1;
+  Alcotest.(check int) "in flight drained" 0 s.Net.in_flight;
+  Alcotest.(check int) "nothing stored" 0 (Net.peek_count net (id 1));
+  Net.reopen_mailbox net (id 1);
+  for i = 7 to 10 do
+    Net.send net ~now:7 ~src:(id (i mod 2 * 2)) ~dst:(id 1) (Num i)
+  done;
+  for now = 7 to 9 do
+    Net.tick net ~now
+  done;
+  Alcotest.(check (list int)) "reopened mailbox stores, in order"
+    [ 8; 10; 7; 9 ]
+    (List.map (function _, Num i -> i | _ -> -1) (Net.drain net (id 1)));
+  Alcotest.(check int) "all counted" 11 (Net.stats net).Net.delivered
+
 let prop_reliable_counts =
   QCheck.Test.make ~name:"reliable: sent = delivered + in_flight" ~count:50
     QCheck.(pair (int_range 1 60) (int_range 0 100))
@@ -352,6 +394,10 @@ let () =
             test_degrade_drop_and_restore;
           Alcotest.test_case "degrade extra delay" `Quick
             test_degrade_extra_delay;
+          Alcotest.test_case "closed mailbox (dense)" `Quick
+            (test_closed_mailbox `Dense);
+          Alcotest.test_case "closed mailbox (sparse)" `Quick
+            (test_closed_mailbox `Sparse);
           QCheck_alcotest.to_alcotest prop_reliable_counts;
         ] );
       ( "index",

@@ -208,6 +208,44 @@ let test_fingerprint_does_not_perturb_stream () =
     Alcotest.(check int64) "same stream" (Rng.bits64 b) (Rng.bits64 a)
   done
 
+(* The simulator draws on every scheduler step and every message delay,
+   so the draw path must not allocate: the state is read and written as
+   raw 64 bits and every [Int64] intermediate stays unboxed.  [float] is
+   the one draw whose result is itself a block: without flambda (and
+   across the opaque library boundary) a function returning a float
+   returns it boxed, two words, so its budget is exactly that box. *)
+let test_draws_allocate_nothing () =
+  let draws = 10_000 in
+  let minor_delta f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun fingerprinting ->
+      let r = Rng.create 41 in
+      if fingerprinting then Rng.fingerprint_start r;
+      let case ?(result_words = 0) name draw =
+        (* Measuring an empty body gives what [Gc.minor_words] itself
+           costs, to subtract. *)
+        let base = minor_delta (fun () -> ()) in
+        let words =
+          minor_delta (fun () ->
+              for _ = 1 to draws do
+                draw ()
+              done)
+        in
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s, fingerprint %b" name fingerprinting)
+          (float_of_int (result_words * draws))
+          (words -. base)
+      in
+      case "int" (fun () -> ignore (Rng.int r 1000));
+      case "bool" (fun () -> ignore (Rng.bool r));
+      case ~result_words:2 "float" (fun () -> ignore (Rng.float r));
+      case "int_in_range" (fun () -> ignore (Rng.int_in_range r ~lo:3 ~hi:9)))
+    [ false; true ]
+
 let prop_int_uniformish =
   QCheck.Test.make ~name:"int covers all residues" ~count:50
     QCheck.(int_range 2 20)
@@ -251,6 +289,8 @@ let () =
             test_fingerprint_off_by_default;
           Alcotest.test_case "fingerprint does not perturb stream" `Quick
             test_fingerprint_does_not_perturb_stream;
+          Alcotest.test_case "draw path allocates nothing" `Quick
+            test_draws_allocate_nothing;
           QCheck_alcotest.to_alcotest prop_int_uniformish;
         ] );
     ]

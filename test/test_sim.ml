@@ -481,6 +481,71 @@ let test_restart_semantics () =
        (fun e -> e.Trace.pid = p0 && e.Trace.op = Trace.Restarted)
        events)
 
+(* A crashed process's mailbox is closed: what reaches it while it is
+   down still counts as delivered but is discarded, and a restart reopens
+   it empty.  The recovery fiber's first receive returns exactly what was
+   delivered after the restart — in-flight messages sent before it
+   included.  The run's steps and network counters are pinned: closing
+   the mailbox must not move them. *)
+let test_crashed_mailbox_discards () =
+  let eng =
+    Engine.create ~seed:11 ~trace_capacity:4096 ~domain:(full_domain 2)
+      ~link:Network.Reliable ~n:2 ()
+  in
+  let p0 = Id.of_int 0 and p1 = Id.of_int 1 in
+  let first = ref None in
+  Engine.spawn eng p0
+    ~recover:(fun () ->
+      for _ = 1 to 5 do
+        Proc.yield ()
+      done;
+      first :=
+        Some (List.map (function _, Ping i -> i | _ -> -1) (Proc.receive ())))
+    (fun () ->
+      let rec idle () =
+        Proc.yield ();
+        idle ()
+      in
+      idle ());
+  Engine.spawn eng p1 (fun () ->
+      for i = 1 to 40 do
+        Proc.send p0 (Ping i)
+      done);
+  Engine.crash_at eng p0 10;
+  Engine.restart_at eng p0 40;
+  let reason = Engine.run eng ~max_steps:500 () in
+  Alcotest.(check bool) "quiescent" true (reason = Engine.Quiescent);
+  let got = Option.get !first in
+  (* Walk the trace: deliveries to p0 while it was down, then those
+     between its restart and its first receive. *)
+  let events =
+    match Engine.trace eng with Some t -> Trace.to_list t | None -> []
+  in
+  let rec count_until stop acc = function
+    | [] -> (acc, [])
+    | e :: tl when e.Trace.pid = p0 && stop e.Trace.op -> (acc, tl)
+    | { Trace.pid; op = Trace.Delivered _; _ } :: tl when pid = p0 ->
+      count_until stop (acc + 1) tl
+    | _ :: tl -> count_until stop acc tl
+  in
+  let _, rest = count_until (( = ) Trace.Crashed) 0 events in
+  let while_down, rest = count_until (( = ) Trace.Restarted) 0 rest in
+  let after_restart, _ =
+    count_until (function Trace.Received _ -> true | _ -> false) 0 rest
+  in
+  Alcotest.(check bool) "messages reached p0 while it was down" true
+    (while_down > 0);
+  Alcotest.(check int) "first receive = post-restart deliveries" after_restart
+    (List.length got);
+  Alcotest.(check (list int)) "first receive"
+    [ 32; 31; 33; 34; 35; 36; 37; 38; 39; 40 ]
+    got;
+  Alcotest.(check int) "steps" 55 (Engine.now eng);
+  let s = Network.stats (Engine.network eng) in
+  Alcotest.(check (list int))
+    "network stats (sent, delivered, dropped, in flight)" [ 40; 40; 0; 0 ]
+    Network.[ s.sent; s.delivered; s.dropped; s.in_flight ]
+
 (* A restart due while the process is not crashed (here: it finished
    before its scheduled crash) is discarded, mirroring crash-on-Done. *)
 let test_restart_discarded_when_done () =
@@ -683,6 +748,8 @@ let () =
       ( "recovery",
         [
           Alcotest.test_case "restart semantics" `Quick test_restart_semantics;
+          Alcotest.test_case "crashed mailbox discards" `Quick
+            test_crashed_mailbox_discards;
           Alcotest.test_case "restart discarded when done" `Quick
             test_restart_discarded_when_done;
           Alcotest.test_case "crash API validation" `Quick
