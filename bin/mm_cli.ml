@@ -1,12 +1,15 @@
 (* mm — command-line front end for the m&m model library.
 
    Subcommands:
-     experiment   regenerate experiment tables (E1-E14, A1-A3)
+     experiment   regenerate experiment tables (E1-E15, A1-A3)
      consensus    run HBO / Ben-Or on a chosen graph with crashes
      paxos        run Ω-driven shared-memory Paxos
+     smr          run the replicated log (multi-decree consensus)
+     kv           run the sharded KV service, report latency percentiles
      election     run eventual leader election
      mutex        run the mutual-exclusion comparison
-     graph        analyze a shared-memory graph (expansion, bounds, cuts) *)
+     graph        analyze a shared-memory graph (expansion, bounds, cuts)
+     check        model-check an algorithm over randomized schedules *)
 
 open Cmdliner
 
@@ -159,24 +162,30 @@ let experiment_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes and seed counts.")
   in
+  (* An unknown id is a usage error (exit 124) naming it, checked before
+     any table runs. *)
   let run ids quick =
     let scale = if quick then `Quick else `Full in
-    let selected =
-      match ids with
-      | [] -> Mm_bench.Experiments.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Mm_bench.Experiments.find id with
-            | Some f -> (String.uppercase_ascii id, f)
-            | None -> failwith ("unknown experiment: " ^ id))
-          ids
-    in
-    List.iter (fun (_, f) -> Mm_bench.Table.print (f scale)) selected
+    let ids = if ids = [] then List.map fst Mm_bench.Experiments.all else ids in
+    let unknown id = Option.is_none (Mm_bench.Experiments.find id) in
+    match List.find_opt unknown ids with
+    | Some id ->
+      `Error
+        ( false,
+          Printf.sprintf "unknown experiment %S (ids: %s)" id
+            (String.concat " " (List.map fst Mm_bench.Experiments.all)) )
+    | None ->
+      List.iter
+        (fun id ->
+          Option.iter
+            (fun f -> Mm_bench.Table.print (f scale))
+            (Mm_bench.Experiments.find id))
+        ids;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate experiment tables (see DESIGN.md).")
-    Term.(const run $ ids $ quick)
+    Term.(ret (const run $ ids $ quick))
 
 (* --- consensus --- *)
 

@@ -3,7 +3,8 @@
     for recorded results.
 
     Every experiment takes a [scale]: [`Quick] shrinks sizes and seed
-    counts for tests, [`Full] is what `bench/main.exe` runs. *)
+    counts for tests, [`Full] is what [mm experiment] runs without
+    [--quick]. *)
 
 type scale =
   [ `Quick

@@ -14,15 +14,6 @@ let str k v = (k, Str v)
 
 let find t k = List.assoc_opt k t
 
-let find_int t k =
-  match find t k with Some (Int v) -> Some v | _ -> None
-
-let find_float t k =
-  match find t k with Some (Float v) -> Some v | _ -> None
-
-let find_bool t k =
-  match find t k with Some (Bool v) -> Some v | _ -> None
-
 let find_str t k =
   match find t k with Some (Str v) -> Some v | _ -> None
 

@@ -28,13 +28,10 @@ val str : string -> string -> entry
 
 (** {2 Accessors}
 
-    Each returns [None] when the key is absent {e or} holds a value of a
-    different type — configs are small, so lookups are linear. *)
+    Configs are small, so lookups are linear.  [find_str] returns [None]
+    when the key is absent {e or} holds a non-string value. *)
 
 val find : t -> string -> value option
-val find_int : t -> string -> int option
-val find_float : t -> string -> float option
-val find_bool : t -> string -> bool option
 val find_str : t -> string -> string option
 
 (** {2 Rendering} *)

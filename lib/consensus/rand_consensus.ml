@@ -30,7 +30,6 @@ let create store ~name ~owner ~participants =
   { name; owner; members; store; decisions; rounds = Hashtbl.create 4 }
 
 let participants t = t.members
-let rounds_used t = Hashtbl.length t.rounds
 
 (* Materializing a round's registers is not a process step: conceptually
    the whole array pre-exists (paper: "∀i ∈ {1, 2, ...}"); we just avoid

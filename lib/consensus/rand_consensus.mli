@@ -34,9 +34,6 @@ val create :
 
 val participants : 'a t -> Mm_core.Id.t list
 
-(** Rounds the object has materialized so far (for tests/benches). *)
-val rounds_used : 'a t -> int
-
 (** [propose t v] runs consensus for the calling process and returns the
     decided value.  Must be called from process context by a
     participant. *)

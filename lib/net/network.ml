@@ -344,7 +344,6 @@ let reset t ~rng ~kind ?(delay = Uniform (1, 4)) () =
 
 let order t = t.n
 let kind t = t.net_kind
-let indexing t = match t.index with Dense _ -> `Dense | Sparse _ -> `Sparse
 
 (* Events are built only when an observer listens, so an unobserved
    network allocates nothing per send or delivery for them. *)

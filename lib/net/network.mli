@@ -64,9 +64,6 @@ val create :
     run the same scenario under both indexings. *)
 val set_default_index : [ `Dense | `Sparse ] option -> unit
 
-(** The indexing mode this network was created with. *)
-val indexing : t -> [ `Dense | `Sparse ]
-
 (** [reset t ~rng ~kind ()] returns the network to the state
     [create ~rng ~n ~kind ?delay ()] would produce, reusing every
     internal array (queues, wake-ups, mailboxes, adversary state are

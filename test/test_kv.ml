@@ -1,7 +1,7 @@
 (* Tests for the sharded KV service: histogram exactness, workload
    generation, end-to-end runs (completion, consistency, per-key
-   linearizability), the partition tail-latency story, and sweep
-   determinism across --jobs. *)
+   linearizability), the partition and failover tail-latency stories,
+   and sweep determinism across --jobs. *)
 
 module Rng = Mm_rng.Rng
 module H = Mm_kv.Histogram
@@ -213,50 +213,60 @@ let test_kv_local_read_speedup () =
   Alcotest.(check bool) "local read p50 no slower" true
     (p50 local <= p50 through)
 
-let test_kv_partition_spike () =
-  (* One shard, leader cut off mid-run: p99 of arrivals inside the
-     window must spike above the warm p99 and recover after the heal.
-     Same construction as the kv/latency-p99-partition bench kernel,
-     asserted rather than recorded. *)
-  (* Keep the put rate well under the shard's ballot throughput (reads
-     are served locally, so only puts queue): a saturated shard's
-     queueing tail would swamp the partition signal. *)
+(* One shard under open-loop load (a mean gap of 120 ticks, 64 keys,
+   theta 0.9, 80% reads) with [fault] in force for the third quarter of
+   the arrival span: the first quarter absorbs the initial
+   leader-election transient, so the second is the warm baseline.  The
+   put rate stays well under the shard's ballot throughput (reads are
+   served locally, so only puts queue): a saturated shard's queueing
+   tail would swamp the fault's signal.  Checks that the run stays
+   linearizable and recovers after the fault, and returns the outcome
+   with the p99 of arrivals in the warm window, during the fault and
+   after it.  The warm window ends a guard band before the fault: a
+   request arriving moments before it is trapped by it and belongs to
+   the fault's story, not the baseline's. *)
+let faulted_run ~ops ~clients ?op_timeout fault =
   let sp =
     {
-      W.ops = 300;
-      clients = 100;
+      W.ops;
+      clients;
       mean_gap = 120.0;
       key_space = 64;
       theta = 0.9;
       read_fraction = 0.8;
     }
   in
-  let span = sp.W.ops * 120 in
-  let nemesis =
-    [
-      {
-        Nemesis.at = span / 2;
-        duration = span / 4;
-        fault = Nemesis.Partition [ [ 0 ]; [ 1; 2 ] ];
-      };
-    ]
-  in
+  let span = ops * 120 in
+  let timeline = [ { Nemesis.at = span / 2; duration = span / 4; fault } ] in
   let wl = W.gen (Rng.create 11) sp ~replicas:3 in
   let o =
-    Kv.run ~seed:11 ~max_steps:(20 * span) ~prepare:(Nemesis.install nemesis)
-      ~shards:1 ~replicas:3 ~workload:wl ()
+    Kv.run ~seed:11 ~max_steps:(20 * span) ~prepare:(Nemesis.install timeline)
+      ?op_timeout ~shards:1 ~replicas:3 ~workload:wl ()
   in
-  Alcotest.(check int) "completed despite partition" sp.W.ops o.Kv.completed;
+  Alcotest.(check bool) "still linearizable" true
+    (Monitor.is_pass (Monitor.kv_linearizable o));
+  Alcotest.(check bool) "recovery monitor passes" true
+    (Monitor.is_pass
+       (Monitor.kv_recovers ~heal_by:(Nemesis.heal_step timeline)
+          ~settle:(10 * span) o));
   let p99 ~from ~until =
     Option.value ~default:0
       (H.percentile (Kv.window_hist o ~from ~until ()) 99.0)
   in
-  (* A guard band before the partition start keeps requests that arrive
-     moments before the cut (and are trapped by it) out of the warm
-     window. *)
-  let warm = p99 ~from:(span / 4) ~until:((span / 2) - (10 * 120)) in
-  let part = p99 ~from:(span / 2) ~until:(3 * span / 4) in
-  let healed = p99 ~from:(3 * span / 4) ~until:max_int in
+  ( o,
+    p99 ~from:(span / 4) ~until:((span / 2) - (10 * 120)),
+    p99 ~from:(span / 2) ~until:(3 * span / 4),
+    p99 ~from:(3 * span / 4) ~until:max_int )
+
+let test_kv_partition_spike () =
+  (* The leader cut off from its peers: registers survive the
+     partition, so decisions keep landing; only the ingress->leader
+     Forward hop is held.  p99 must spike inside the window and recover
+     after the heal. *)
+  let o, warm, part, healed =
+    faulted_run ~ops:300 ~clients:100 (Nemesis.Partition [ [ 0 ]; [ 1; 2 ] ])
+  in
+  Alcotest.(check int) "completed despite partition" 300 o.Kv.completed;
   Alcotest.(check bool)
     (Printf.sprintf "partition spikes p99 (%d > %d)" part warm)
     true
@@ -264,13 +274,25 @@ let test_kv_partition_spike () =
   Alcotest.(check bool)
     (Printf.sprintf "heal recovers p99 (%d < %d)" healed part)
     true
-    (healed < part / 2);
-  Alcotest.(check bool) "still linearizable" true
-    (Monitor.is_pass (Monitor.kv_linearizable o));
-  Alcotest.(check bool) "recovery monitor passes" true
-    (Monitor.is_pass
-       (Monitor.kv_recovers ~heal_by:(Nemesis.heal_step nemesis)
-          ~settle:(10 * span) o))
+    (healed < part / 2)
+
+let test_kv_failover_spike () =
+  (* The leader crashed and rebooted through its recovery closure, with
+     per-op client deadlines armed: the rebooted replica rebuilds its
+     log from the crash-surviving slot registers and re-claims the
+     requests it was shepherding.  The run is seed-deterministic, so the
+     p99s are pinned to the tick: a restart that misses the run leaves
+     no spike, and a service that stops recovering its tail moves the
+     healed p99. *)
+  let o, warm, failover, healed =
+    faulted_run ~ops:600 ~clients:200 ~op_timeout:(2 * 600 * 120)
+      (Nemesis.Restart [ 0 ])
+  in
+  Alcotest.(check int) "completed" 600 o.Kv.completed;
+  Alcotest.(check int) "no client timeouts" 0 o.Kv.timeouts;
+  Alcotest.(check int) "warm p99" 93 warm;
+  Alcotest.(check int) "failover p99" 18_182 failover;
+  Alcotest.(check int) "healed p99" 79 healed
 
 let test_kv_crash_still_consistent () =
   (* Crash one replica of each shard mid-run: safety monitors must hold
@@ -503,6 +525,8 @@ let () =
             test_kv_local_read_speedup;
           Alcotest.test_case "partition p99 spike + recovery" `Quick
             test_kv_partition_spike;
+          Alcotest.test_case "failover p99 spike + recovery" `Quick
+            test_kv_failover_spike;
           Alcotest.test_case "op-timeout validation" `Quick
             test_kv_op_timeout_validation;
           Alcotest.test_case "timeout accounting" `Quick
